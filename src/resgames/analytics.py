@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import TOL, UtilityRule, ValidationError, WelfareRule, curvature
 from .designs import design_pareto_setcov
@@ -192,6 +191,9 @@ def build_poa_lp(ws, fs, n: int) -> LPInstance:
 
 def solve_poa_lp(ws, fs, n: int, *, feas_tol: float = 1e-8) -> LPSolution:
     """Solve the n-agent price-of-anarchy LP to a basic optimal solution."""
+    # Deferred: scipy.optimize would dominate `import resgames`, and only LP solves need it.
+    from scipy.optimize import linprog
+
     inst = build_poa_lp(ws, fs, n)
     res = linprog(
         -inst.objective,

@@ -36,7 +36,7 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, needed: int, budget: int):
         super().__init__(
-            f"brute force needs {needed} joint evaluations, budget is {budget}; "
+            f"exact optimum may need {needed} joint evaluations, budget is {budget}; "
             "reduce the instance or raise the budget"
         )
         self.needed = needed
@@ -388,40 +388,107 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     return best
 
 
-def optimum(g: Game, *, budget: int = 10**8, chunk: int = 1 << 18) -> tuple[JointAction, float]:
-    """Exact brute-force welfare maximizer over the full joint action space."""
+_BLOCK = 32  # most joint profiles of the last players under one bound
+_BATCH = 1 << 14  # most profiles, or bound terms, one numpy pass handles
+
+
+def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
+    """Exact welfare maximizer: brute force over the joint action space, with
+    blocks that provably hold no maximizer skipped.
+
+    Joint actions are scored in flat order (last player fastest) by one fixed
+    expression and the first maximum wins, so the result is the plain brute
+    force one bit for bit, ties included.  The last players span blocks of at
+    most ``_BLOCK`` profiles.  The other players are walked depth first, a
+    batch of sibling subtrees at a time, and a subtree is skipped when its
+    welfare bound (the partial welfare plus each remaining player's largest
+    possible gain) stays below a welfare already attained.  ``budget`` caps
+    the worst-case work, the size of the joint action space.
+    """
     sizes = [len(acts) for acts in g.actions]
     total = math.prod(sizes)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    n_res = g.n_resources
+    n, n_res = g.n_players, g.n_resources
     onehot = []
     for acts in g.action_resources:
-        m = np.zeros((len(acts), n_res), dtype=np.int16)
+        m = np.zeros((len(acts), n_res))
         for k, res in enumerate(acts):
             for r in res:
-                m[k, r] += 1
+                m[k, r] = 1.0
         onehot.append(m)
-    wtab_t = g.welfare_tables.T  # (n_players + 1, n_res)
-    cols = np.arange(n_res)
+    # A selection is held as offsets count_r * n_res + r into the row-major
+    # (count, resource) tables; an action adds n_res at each of its resources.
+    step = [(m * n_res).astype(np.int64) for m in onehot]
+    wtab = g.welfare_tables
+    wflat = wtab.T.ravel()
+
+    def score(offsets: np.ndarray) -> np.ndarray:
+        return wflat[offsets].sum(axis=-1)
+
+    # gain[r, c] is the largest welfare increment resource r gives to any
+    # selector beyond its c-th, so it bounds every completion from counts c
+    # whatever the rules' shape.  slack stays far above the rounding of the
+    # bound and of score, each under (n + n_res)**2 * 2**-52 of the table mass.
+    inc = np.diff(wtab, axis=1)
+    iflat = inc.T.ravel()
+    gflat = np.maximum.accumulate(inc[:, ::-1], axis=1)[:, ::-1].T.ravel()
+    slack = (n + n_res + 1) ** 2 * 2.0**-44 * float(np.abs(wtab).sum())
+
+    # threshold: the welfare reached by best-response sweeps from the empty
+    # allocation, the first of which is a greedy fill.  Every move raises
+    # welfare by more than slack, so the sweeps end.
+    joint = list(g.null_action())
+    offsets = np.arange(n_res)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(n):
+            offsets -= step[i][joint[i]]
+            gains = onehot[i] @ iflat[offsets]
+            a = int(np.argmax(gains))
+            if gains[a] > gains[joint[i]] + slack:
+                joint[i], moved = a, True
+            offsets += step[i][joint[i]]
+    threshold = float(score(offsets))
+
+    split, block = n - 1, sizes[-1]
+    while split > 0 and block * sizes[split - 1] <= _BLOCK:
+        split -= 1
+        block *= sizes[split]
+    suffix = np.zeros((block, n_res), dtype=np.int64)
+    rem = np.arange(block)
+    for i in reversed(range(split, n)):
+        suffix += step[i][rem % sizes[i]]
+        rem //= sizes[i]
+    all_acts = np.concatenate(onehot).T
+    heads = np.cumsum([0] + sizes[:-1])
+    rows = max(1, _BATCH // max(block, max(sizes) * sum(sizes)))  # subtrees per batch
+
     best_w = -np.inf
     best_flat = 0
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        counts = np.zeros((len(flat), n_res), dtype=np.int16)
-        rem = flat
-        for i in reversed(range(g.n_players)):
-            idx = rem % sizes[i]
-            rem = rem // sizes[i]
-            counts += onehot[i][idx]
-        w = wtab_t[counts, cols].sum(axis=1)
-        k = int(np.argmax(w))
-        if w[k] > best_w:
-            best_w = float(w[k])
-            best_flat = int(flat[k])
+    stack = [(0, np.arange(n_res)[None, :], np.zeros(1, dtype=np.int64), np.full(1, np.inf))]
+    while stack:
+        d, offsets, flat, bound = stack.pop()
+        keep = bound + slack >= max(threshold, best_w)
+        offsets, flat = offsets[keep], flat[keep]
+        if d == split:
+            if len(flat):
+                w = score(offsets[:, None, :] + suffix).ravel()
+                k = int(np.argmax(w))
+                if w[k] > best_w:
+                    best_w = float(w[k])
+                    best_flat = int(flat[k // block]) * block + k % block
+            continue
+        offsets = (offsets[:, None, :] + step[d]).reshape(-1, n_res)
+        flat = (flat[:, None] * sizes[d] + np.arange(sizes[d])).ravel()
+        best_gains = np.maximum.reduceat(gflat[offsets] @ all_acts, heads, axis=1)
+        bound = score(offsets) + best_gains[:, d + 1:].sum(axis=1)
+        for s in reversed(range(0, len(flat), rows)):
+            stack.append((d + 1, offsets[s:s + rows], flat[s:s + rows], bound[s:s + rows]))
     joint = []
     rem = best_flat
-    for i in reversed(range(g.n_players)):
+    for i in reversed(range(n)):
         joint.append(rem % sizes[i])
         rem //= sizes[i]
     return tuple(reversed(joint)), best_w

@@ -7,8 +7,6 @@ of execution order; the exported CSV is byte-identical on re-run.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -133,20 +131,13 @@ def _run_instance(cfg: ExperimentConfig, idx: int, budget: int) -> list[Row]:
 
 def run_experiment(cfg: ExperimentConfig, *, budget: int = 10**8) -> ExperimentResult:
     """Run every instance and design: walks use incumbent-keeping ties and each
-    round's welfare is normalized by the instance's exact brute-force optimum."""
+    round's welfare is normalized by the instance's exact optimum (brute
+    force with bound-pruned blocks, see :func:`~resgames.dynamics.optimum`)."""
     if cfg.joint_space() > budget:
         from .dynamics import BudgetExceededError
 
         raise BudgetExceededError(cfg.joint_space(), budget)
-    threads = int(os.environ.get("RESGAMES_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_instance = list(pool.map(
-                lambda i: _run_instance(cfg, i, budget), range(cfg.n_instances)
-            ))
-    else:
-        per_instance = [_run_instance(cfg, i, budget) for i in range(cfg.n_instances)]
-    rows = [row for chunk in per_instance for row in chunk]
+    rows = [row for i in range(cfg.n_instances) for row in _run_instance(cfg, i, budget)]
     summary = summarize(cfg, rows)
     return ExperimentResult(cfg, rows, summary)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,44 @@ def random_game(rng: np.random.Generator, max_players=4, max_actions=4, max_reso
             acts.append(frozenset(f"r{k}" for k in np.flatnonzero(mask)))
         actions.append(tuple(acts))
     return Game(tuple(resources), tuple(actions))
+
+
+def brute_force_optimum(g: Game, *, chunk: int = 1 << 18) -> tuple[tuple[int, ...], float]:
+    """Reference optimum: every joint action scored in flat order (last player
+    fastest), the first maximum kept."""
+    sizes = [len(acts) for acts in g.actions]
+    total = math.prod(sizes)
+    n_res = g.n_resources
+    onehot = []
+    for acts in g.action_resources:
+        m = np.zeros((len(acts), n_res), dtype=np.int16)
+        for k, res in enumerate(acts):
+            for r in res:
+                m[k, r] += 1
+        onehot.append(m)
+    wtab_t = g.welfare_tables.T  # (n_players + 1, n_res)
+    cols = np.arange(n_res)
+    best_w = -np.inf
+    best_flat = 0
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        counts = np.zeros((len(flat), n_res), dtype=np.int16)
+        rem = flat
+        for i in reversed(range(g.n_players)):
+            idx = rem % sizes[i]
+            rem = rem // sizes[i]
+            counts += onehot[i][idx]
+        w = wtab_t[counts, cols].sum(axis=1)
+        k = int(np.argmax(w))
+        if w[k] > best_w:
+            best_w = float(w[k])
+            best_flat = int(flat[k])
+    joint = []
+    rem = best_flat
+    for i in reversed(range(g.n_players)):
+        joint.append(rem % sizes[i])
+        rem //= sizes[i]
+    return tuple(reversed(joint)), best_w
 
 
 @pytest.fixture

@@ -128,11 +128,3 @@ def test_config_validation_and_round_trip():
         ExperimentConfig(action_width=20, n_targets=10)
     cfg = ExperimentConfig.from_dict(SMALL.to_dict())
     assert cfg == SMALL
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    base = run_experiment(SMALL)
-    monkeypatch.setenv("RESGAMES_THREADS", "3")
-    threaded = run_experiment(SMALL)
-    assert threaded.rows == base.rows
-    assert threaded.summary == base.summary
