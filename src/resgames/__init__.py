@@ -33,7 +33,6 @@ from .dynamics import (
     k_round_walk,
     one_round_can_end_at,
     optimum,
-    potential,
     reachable_nash_min,
     round_robin_schedule,
     walk_to_nash,

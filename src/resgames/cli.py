@@ -40,16 +40,8 @@ from .model import UtilityRule, ValidationError, make_welfare_rule, welfare
 
 
 def _welfare_from_args(args, j_max):
-    fam = args.welfare
-    if fam in ("setcov", "set_covering"):
-        return make_welfare_rule("set_covering", j_max)
-    if fam == "bent":
-        return make_welfare_rule("bent", j_max, b=args.b, curvature=args.C)
-    if fam == "wta":
-        return make_welfare_rule("wta", j_max, p=args.p)
-    if fam == "harmonic":
-        return make_welfare_rule("harmonic", j_max)
-    raise ValidationError(f"unknown welfare family {fam!r}")
+    fam = "set_covering" if args.welfare == "setcov" else args.welfare
+    return make_welfare_rule(fam, j_max, b=args.b, curvature=args.C, p=args.p)
 
 
 def _design_from_args(args, w, j_max):

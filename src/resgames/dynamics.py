@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,7 +13,6 @@ from .model import (
     JointAction,
     ValidationError,
     selection_counts,
-    utility_full,
     welfare,
 )
 
@@ -102,65 +100,70 @@ def _check_schedule(g: Game, schedule: Sequence[int]) -> tuple[int, ...]:
     return sched
 
 
-def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
-    """All argmax action indices for player i against a_{-i}, ties at TOL."""
-    a = g.validate_joint(a)
-    counts = selection_counts(g, a)
-    for r in g.action_resources[i][a[i]]:
-        counts[r] -= 1
+def _ties(g: Game, counts: Sequence[int], i: int, current: int) -> list[int]:
+    """Player i's best actions, ties at TOL, against ``counts`` that still
+    include its ``current`` action.  ``counts`` is left unchanged."""
     utab = g.utility_tables
+    own = g.action_resources[i][current]
     utils = [
-        sum(utab[r, counts[r] + 1] for r in res)
+        sum(utab[r, counts[r] + (r not in own)] for r in res)
         for res in g.action_resources[i]
     ]
     top = max(utils)
     return [k for k, u in enumerate(utils) if u >= top - TOL]
 
 
+def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
+    """All argmax action indices for player i against a_{-i}, ties at TOL."""
+    a = g.validate_joint(a)
+    return _ties(g, selection_counts(g, a).tolist(), i, a[i])
+
+
 def is_nash(g: Game, a: Sequence[int]) -> bool:
     """True iff every player's current action is one of its best responses."""
     a = g.validate_joint(a)
-    return all(a[i] in best_responses(g, a, i) for i in range(g.n_players))
+    counts = selection_counts(g, a).tolist()
+    return all(a[i] in _ties(g, counts, i, a[i]) for i in range(g.n_players))
 
 
-def potential(g: Game, a: Sequence[int]) -> float:
-    """Scalar whose change under any unilateral move equals the mover's utility change."""
-    return utility_full(g, a)
-
-
-def _walk_deterministic(g: Game, start: JointAction, schedule: tuple[int, ...],
-                        tie_break: str, tau_offset: int = 0) -> Trajectory:
-    if tie_break not in (INCUMBENT_THEN_LEX, LEXICOGRAPHIC):
-        raise ValidationError(f"unknown tie break {tie_break!r}")
+def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_offset: int = 0) -> Trajectory:
+    """The walk from ``start`` in which ``choose(t, i, joint, counts)`` picks
+    the action of ``schedule[t]``; ``joint`` and ``counts`` are the state
+    before the move and must not be changed."""
     counts = selection_counts(g, start).tolist()
     joint = list(start)
-    utab = g.utility_tables
     wtab = g.welfare_tables
     cumtab = g.cumulative_utility_tables
     cols = np.arange(g.n_resources)
     steps = []
-    for tau, i in enumerate(schedule, start=tau_offset + 1):
+    for t, i in enumerate(schedule):
+        choice = choose(t, i, joint, counts)
         for r in g.action_resources[i][joint[i]]:
             counts[r] -= 1
-        utils = [
-            sum(utab[r, counts[r] + 1] for r in res)
-            for res in g.action_resources[i]
-        ]
-        top = max(utils)
-        if tie_break == INCUMBENT_THEN_LEX and utils[joint[i]] >= top - TOL:
-            choice = joint[i]
-        else:
-            choice = next(k for k, u in enumerate(utils) if u >= top - TOL)
         joint[i] = choice
         for r in g.action_resources[i][choice]:
             counts[r] += 1
         carr = np.asarray(counts)
         steps.append(Step(
-            tau, i, choice,
+            tau_offset + t + 1, i, choice,
             float(wtab[cols, carr].sum()),
             float(cumtab[cols, carr].sum()),
         ))
     return Trajectory(start, tuple(steps), tuple(joint))
+
+
+def _deterministic(g: Game, tie_break: str):
+    """Chooser for :func:`_walk` that keeps the incumbent on a tie
+    (``INCUMBENT_THEN_LEX``) or always takes the lowest tied index."""
+    if tie_break not in (INCUMBENT_THEN_LEX, LEXICOGRAPHIC):
+        raise ValidationError(f"unknown tie break {tie_break!r}")
+    keep = tie_break == INCUMBENT_THEN_LEX
+
+    def choose(t, i, joint, counts):
+        ties = _ties(g, counts, i, joint[i])
+        return joint[i] if keep and joint[i] in ties else ties[0]
+
+    return choose
 
 
 class _AdversarialSearch:
@@ -176,12 +179,7 @@ class _AdversarialSearch:
         self.schedule = schedule
         self.cap = cap
         n_steps = len(schedule)
-        player_res = []
-        for acts in g.action_resources:
-            seen = set()
-            for res in acts:
-                seen.update(res)
-            player_res.append(seen)
+        player_res = [set().union(*acts) for acts in g.action_resources]
         active: list[tuple[int, ...]] = [()] * (n_steps + 1)
         cur: set[int] = set()
         for t in reversed(range(n_steps)):
@@ -199,59 +197,72 @@ class _AdversarialSearch:
         self.best_upper: float | None = None
 
     def run(self) -> float:
+        """Drives the ``_solve`` generators from an explicit stack, so the
+        search depth never touches the interpreter's recursion limit."""
         g = self.g
         self.counts = selection_counts(g, g.null_action()).tolist()
         self.joint = list(g.null_action())
-        limit = len(self.schedule) + 200
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit + 1000)
-        return self._solve(0, 0.0)
+        stack = []
+        t, acc = 0, 0.0
+        while True:
+            val, key = self._lookup(t, acc)
+            if key is not None:
+                stack.append(self._solve(t, acc, key))
+            while stack:
+                try:
+                    t, acc = stack[-1].send(val)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    val = done.value
+            else:
+                return val
 
-    def _key(self, t: int) -> tuple:
-        joint, counts = self.joint, self.counts
+    def _key(self, t: int, joint: list[int], counts: list[int]) -> tuple:
         return (
             t,
-            tuple(joint[p] for p in self.future_players[t]),
-            tuple(counts[r] for r in self.active[t]),
+            tuple(map(joint.__getitem__, self.future_players[t])),
+            tuple(map(counts.__getitem__, self.active[t])),
         )
 
-    def _solve(self, t: int, acc: float) -> float:
+    def _lookup(self, t: int, acc: float) -> tuple[float | None, tuple | None]:
+        """``(rest, None)`` when the welfare still to come after ``acc`` is
+        known (the walk has ended or its state is memoised), else ``(None, key)``.
+        Settling those here spares a generator per leaf and memo hit."""
         if t == len(self.schedule):
-            if self.best_upper is None or acc < self.best_upper:
-                self.best_upper = acc
-            return 0.0
-        key = self._key(t)
-        hit = self.memo.get(key)
-        if hit is not None:
-            total = acc + hit[0]
-            if self.best_upper is None or total < self.best_upper:
-                self.best_upper = total
-            return hit[0]
+            rest = 0.0
+        else:
+            key = self._key(t, self.joint, self.counts)
+            hit = self.memo.get(key)
+            if hit is None:
+                return None, key
+            rest = hit[0]
+        if self.best_upper is None or acc + rest < self.best_upper:
+            self.best_upper = acc + rest
+        return rest, None
+
+    def _solve(self, t: int, acc: float, key: tuple):
+        """Generator that searches the unmemoised state at step t, with
+        ``acc`` already finalized.  It yields ``(t + 1, acc')`` for each tie,
+        is sent back the welfare still to come there, and returns the least."""
         self.explored += 1
         if self.explored > self.cap:
             raise EnumerationCapError(self.explored, self.cap, self.best_upper)
         g, counts, joint = self.g, self.counts, self.joint
-        utab = g.utility_tables
         wtab = g.welfare_tables
         i = self.schedule[t]
         old = joint[i]
+        ties = _ties(g, counts, i, old)
         for r in g.action_resources[i][old]:
             counts[r] -= 1
-        utils = [
-            sum(utab[r, counts[r] + 1] for r in res)
-            for res in g.action_resources[i]
-        ]
-        top = max(utils)
         best_val: float | None = None
         best_act = -1
-        for a_idx, u in enumerate(utils):
-            if u < top - TOL:
-                continue
+        for a_idx in ties:
             joint[i] = a_idx
             for r in g.action_resources[i][a_idx]:
                 counts[r] += 1
             released = sum(wtab[r, counts[r]] for r in self.finalized_after[t])
-            val = released + self._solve(t + 1, acc + released)
+            val = released + (yield t + 1, acc + released)
             for r in g.action_resources[i][a_idx]:
                 counts[r] -= 1
             if best_val is None or val < best_val:
@@ -263,28 +274,9 @@ class _AdversarialSearch:
         return best_val
 
     def reconstruct(self) -> Trajectory:
-        g = self.g
-        counts = selection_counts(g, g.null_action()).tolist()
-        joint = list(g.null_action())
-        self.counts, self.joint = counts, joint
-        wtab = g.welfare_tables
-        cumtab = g.cumulative_utility_tables
-        cols = np.arange(g.n_resources)
-        steps = []
-        for t, i in enumerate(self.schedule):
-            _, act = self.memo[self._key(t)]
-            for r in g.action_resources[i][joint[i]]:
-                counts[r] -= 1
-            joint[i] = act
-            for r in g.action_resources[i][act]:
-                counts[r] += 1
-            carr = np.asarray(counts)
-            steps.append(Step(
-                t + 1, i, act,
-                float(wtab[cols, carr].sum()),
-                float(cumtab[cols, carr].sum()),
-            ))
-        return Trajectory(g.null_action(), tuple(steps), tuple(joint))
+        """Replays the minimizing walk, reading each step's action from the memo."""
+        return _walk(self.g, self.g.null_action(), self.schedule,
+                     lambda t, i, joint, counts: self.memo[self._key(t, joint, counts)][1])
 
 
 def adversarial_min_welfare(
@@ -292,18 +284,17 @@ def adversarial_min_welfare(
     k: int = 1,
     *,
     cap: int = 500_000,
-    schedules: Sequence[Sequence[int]] | None = None,
+    schedule: Sequence[int] | None = None,
 ) -> tuple[float, Trajectory]:
-    """Minimum final welfare over all tie resolutions (and supplied schedules)."""
-    if schedules is None:
-        schedules = [round_robin_schedule(g.n_players, k)]
-    best: tuple[float, Trajectory] | None = None
-    for sched in schedules:
-        search = _AdversarialSearch(g, _check_schedule(g, sched), cap)
-        val = search.run()
-        if best is None or val < best[0]:
-            best = (val, search.reconstruct())
-    return best
+    """Minimum final welfare over all tie resolutions of a walk from the null
+    allocation, and a trajectory that attains it.
+
+    The walk runs ``k`` round-robin rounds unless ``schedule`` gives its step
+    sequence, in which case ``k`` is ignored.
+    """
+    sched = round_robin_schedule(g.n_players, k) if schedule is None else schedule
+    search = _AdversarialSearch(g, _check_schedule(g, sched), cap)
+    return search.run(), search.reconstruct()
 
 
 def k_round_walk(
@@ -314,17 +305,17 @@ def k_round_walk(
 ) -> Trajectory:
     """Best-response walk from the null allocation for k full rounds.
 
-    ``schedule`` overrides the default round-robin step sequence.  Under
-    :class:`AdversarialEnumerate` the returned trajectory is one that attains
-    the minimum final welfare over all tie resolutions.
+    ``schedule`` replaces the k round-robin rounds with its own step
+    sequence.  Under :class:`AdversarialEnumerate` the returned trajectory is
+    one that attains the minimum final welfare over all tie resolutions.
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")
     sched = round_robin_schedule(g.n_players, k) if schedule is None else _check_schedule(g, schedule)
     if isinstance(tie_break, AdversarialEnumerate):
-        _, traj = adversarial_min_welfare(g, k, cap=tie_break.cap, schedules=[sched])
+        _, traj = adversarial_min_welfare(g, cap=tie_break.cap, schedule=sched)
         return traj
-    return _walk_deterministic(g, g.null_action(), sched, tie_break)
+    return _walk(g, g.null_action(), sched, _deterministic(g, tie_break))
 
 
 def walk_to_nash(
@@ -339,13 +330,14 @@ def walk_to_nash(
     """
     n = g.n_players
     one_round = round_robin_schedule(n, 1)
+    choose = _deterministic(g, tie_break)
     all_steps: list[Step] = []
     state = g.null_action()
     taken = 0
     while True:
         if taken + n > max_steps:
             raise EnumerationCapError(taken, max_steps, None)
-        traj = _walk_deterministic(g, state, one_round, tie_break, taken)
+        traj = _walk(g, state, one_round, choose, taken)
         taken += n
         all_steps.extend(traj.steps)
         if traj.final == state:
@@ -504,8 +496,9 @@ def efficiency(
 ) -> float:
     """Walk welfare after k rounds (or at the limit) divided by the exact optimum.
 
-    ``k`` may be ``math.inf`` to measure the limit point.  Adversarial tie
-    breaking reports the worst attainable value.
+    ``k`` may be ``math.inf`` to measure the limit point.  For finite ``k``,
+    ``schedule`` replaces the k round-robin rounds with its own step sequence.
+    Adversarial tie breaking reports the worst attainable value.
     """
     _, opt_w = optimum(g, budget=budget)
     if opt_w <= 0.0:
@@ -518,8 +511,7 @@ def efficiency(
             w = welfare(g, walk_to_nash(g, tie_break).final)
     else:
         if adversarial:
-            scheds = None if schedule is None else [schedule]
-            w, _ = adversarial_min_welfare(g, int(k), cap=tie_break.cap, schedules=scheds)
+            w, _ = adversarial_min_welfare(g, int(k), cap=tie_break.cap, schedule=schedule)
         else:
             w = k_round_walk(g, int(k), tie_break, schedule).final_welfare
     return w / opt_w
@@ -528,9 +520,10 @@ def efficiency(
 def one_round_can_end_at(g: Game, target: Sequence[int]) -> bool:
     """Whether some tie resolution of a one-round walk ends exactly at ``target``."""
     target = g.validate_joint(target)
-    joint = list(g.null_action())
-    for i in range(g.n_players):
-        if target[i] not in best_responses(g, joint, i):
+    counts = [0] * g.n_resources  # the null allocation's
+    for i, empty in enumerate(g.null_action()):
+        if target[i] not in _ties(g, counts, i, empty):
             return False
-        joint[i] = target[i]
+        for r in g.action_resources[i][target[i]]:
+            counts[r] += 1
     return True

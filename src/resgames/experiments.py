@@ -67,9 +67,6 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be positive")
         object.__setattr__(self, "designs", tuple(self.designs))
 
-    def joint_space(self) -> int:
-        return (self.actions_per_agent + 1) ** self.n_agents
-
     def to_dict(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "designs"}
         d["designs"] = [s.to_dict() for s in self.designs]
@@ -133,10 +130,6 @@ def run_experiment(cfg: ExperimentConfig, *, budget: int = 10**8) -> ExperimentR
     """Run every instance and design: walks use incumbent-keeping ties and each
     round's welfare is normalized by the instance's exact optimum (brute
     force with bound-pruned blocks, see :func:`~resgames.dynamics.optimum`)."""
-    if cfg.joint_space() > budget:
-        from .dynamics import BudgetExceededError
-
-        raise BudgetExceededError(cfg.joint_space(), budget)
     rows = [row for i in range(cfg.n_instances) for row in _run_instance(cfg, i, budget)]
     summary = summarize(cfg, rows)
     return ExperimentResult(cfg, rows, summary)

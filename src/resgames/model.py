@@ -7,6 +7,7 @@ utility sums v_r * f_r(count_r) over the resources it selects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -225,7 +226,8 @@ class Resource:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-        _require(self.value >= 0.0, f"resource {self.rid!r} must have nonnegative value")
+        _require(math.isfinite(self.value) and self.value >= 0.0,
+                 f"resource {self.rid!r} must have a finite nonnegative value")
         _require(abs(self.utility.values[0] - self.welfare.values[0]) <= TOL,
                  f"resource {self.rid!r}: f(1) must equal w(1)")
 
@@ -258,6 +260,7 @@ class Game:
                 missing = a - known
                 _require(not missing, f"player {i} action references unknown resources {sorted(missing)}")
         _require(len(self.actions) >= 1, "game needs at least one player")
+        _require(len(self.resources) >= 1, "game needs at least one resource")
 
     @property
     def n_players(self) -> int:

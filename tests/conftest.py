@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from resgames import Game, Resource, UtilityRule, WelfareRule
+from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, welfare
 
 
 def random_game(rng: np.random.Generator, max_players=4, max_actions=4, max_resources=6) -> Game:
@@ -67,6 +67,20 @@ def brute_force_optimum(g: Game, *, chunk: int = 1 << 18) -> tuple[tuple[int, ..
         joint.append(rem % sizes[i])
         rem //= sizes[i]
     return tuple(reversed(joint)), best_w
+
+
+def brute_tie_paths(g: Game, schedule, joint=None) -> float:
+    """Reference adversarial minimum: the least final welfare over every
+    resolution of every best-response tie along ``schedule``, from the null
+    allocation, found by plain recursion."""
+    joint = g.null_action() if joint is None else joint
+    if not schedule:
+        return welfare(g, joint)
+    i = schedule[0]
+    return min(
+        brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
+        for b in best_responses(g, joint, i)
+    )
 
 
 @pytest.fixture

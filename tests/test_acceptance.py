@@ -147,7 +147,7 @@ def test_criterion_08_mechanism_checks():
                 # potential difference equals the mover's utility change
                 after = list(state)
                 after[i] = step.action
-                dphi = rg.potential(g, tuple(after)) - rg.potential(g, state)
+                dphi = rg.utility_full(g, tuple(after)) - rg.utility_full(g, state)
                 du = rg.utility_mc(g, tuple(after), i) - rg.utility_mc(g, state, i)
                 assert dphi == pytest.approx(du, abs=1e-9), trial
 

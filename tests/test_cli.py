@@ -119,3 +119,14 @@ def test_budget_exit_code(tmp_path):
     cfg_path.write_text(json.dumps({"n_agents": 30, "n_targets": 31, "n_instances": 1}))
     rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("resources", [
+    [],
+    [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0]}, "value": float("inf")}],
+])
+def test_invalid_game_exit_code(tmp_path, capsys, resources):
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps({"resources": resources, "players": [{"actions": [[]]}]}))
+    assert main(["simulate", "--game", str(game_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,11 @@
+import inspect
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from resgames import (
     AdversarialEnumerate,
@@ -10,6 +14,7 @@ from resgames import (
     Game,
     Resource,
     UtilityRule,
+    WelfareRule,
     adversarial_min_welfare,
     apply_design,
     best_responses,
@@ -20,16 +25,20 @@ from resgames import (
     make_welfare_rule,
     one_round_can_end_at,
     optimum,
-    potential,
     reachable_nash_min,
+    round_robin_schedule,
     utility_full,
     utility_mc,
     walk_to_nash,
     welfare,
 )
-from resgames.constructions import build_greedy_trap, build_two_agent_worst_case
+from resgames.constructions import (
+    build_common_interest_chain,
+    build_greedy_trap,
+    build_two_agent_worst_case,
+)
 
-from conftest import random_game
+from conftest import brute_tie_paths, random_game
 
 
 @pytest.fixture
@@ -140,8 +149,8 @@ def test_efficiency_in_unit_interval(rng):
 
 
 def test_potential_examples(trap_designed):
-    assert potential(trap_designed, (0, 0)) == 0.0
-    assert potential(trap_designed, (2, 1)) == pytest.approx(1.1 * 1.5, abs=1e-12)
+    assert utility_full(trap_designed, (0, 0)) == 0.0
+    assert utility_full(trap_designed, (2, 1)) == pytest.approx(1.1 * 1.5, abs=1e-12)
 
 
 def test_potential_difference_identity(rng):
@@ -153,7 +162,7 @@ def test_potential_difference_identity(rng):
             i = int(rng.integers(0, g.n_players))
             alt = list(joint)
             alt[i] = int(rng.integers(0, len(g.actions[i])))
-            dphi = potential(g, tuple(alt)) - potential(g, tuple(joint))
+            dphi = utility_full(g, tuple(alt)) - utility_full(g, tuple(joint))
             du = utility_mc(g, tuple(alt), i) - utility_mc(g, tuple(joint), i)
             assert dphi == pytest.approx(du, abs=1e-9)
 
@@ -274,3 +283,78 @@ def test_custom_schedule():
     assert t.steps[0].player == 1
     assert t.final == (1, 1)
     assert t.final_welfare == pytest.approx(2.1, abs=1e-12)
+
+
+# Few distinct levels and values make exact utility ties, and so
+# adversarial choices, common.
+LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def tie_games(draw) -> Game:
+    """Two to four players, one to three resources, and two or three
+    actions per player, plus the empty action when none was drawn."""
+    n = draw(st.integers(2, 4))
+    rids = [f"r{r}" for r in range(draw(st.integers(1, 3)))]
+    resources = []
+    for rid in rids:
+        incs = sorted(draw(st.lists(LEVELS, min_size=n, max_size=n)), reverse=True)
+        incs[0] = 1.0
+        w = WelfareRule(tuple(itertools.accumulate(incs)), 0.0)
+        f = UtilityRule((incs[0], *draw(st.lists(LEVELS, min_size=n - 1, max_size=n - 1))))
+        value = draw(st.sampled_from([0.5, 1.0]))
+        resources.append(Resource(rid, w, f, value))
+    # the empty action may come anywhere, so the lowest tied index is not
+    # always the walk that does least
+    action = st.sets(st.sampled_from(rids)).map(frozenset)
+    actions = tuple(tuple(draw(st.lists(action, min_size=2, max_size=3))) for _ in range(n))
+    return Game(tuple(resources), actions)
+
+
+@st.composite
+def games_and_schedules(draw):
+    g = draw(tie_games())
+    players = st.integers(0, g.n_players - 1)
+    schedule = draw(st.none() | st.lists(players, min_size=2, max_size=6))
+    return g, draw(st.integers(1, 2)), schedule
+
+
+def shared_holder_game() -> Game:
+    """Tie paths reach equal counts with r1 held by different players and then
+    end apart, so a memo key without the players' actions gives a wrong minimum."""
+    w = WelfareRule((1.0, 1.0, 1.0), 0.0)
+    r0 = Resource("r0", w, UtilityRule((1.0, 0.0, 0.5), 0.5), 1.0)
+    r1 = Resource("r1", w, UtilityRule((1.0, 0.0, 0.0), 0.0), 0.5)
+    a, b, ab = frozenset({"r0"}), frozenset({"r1"}), frozenset({"r0", "r1"})
+    return Game((r0, r1), ((frozenset(), ab, a), (frozenset(), a), (frozenset(), a, b)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(games_and_schedules())
+@example((shared_holder_game(), 2, None))
+def test_adversarial_matches_brute_tie_paths(case):
+    g, k, schedule = case
+    sched = round_robin_schedule(g.n_players, k) if schedule is None else tuple(schedule)
+    val, traj = adversarial_min_welfare(g, k, schedule=schedule)
+    tol = 1e-9 * (1 + abs(val))
+    assert abs(val - brute_tie_paths(g, sched)) <= tol
+    # the trajectory is itself a tie path that ends at the value
+    assert tuple(s.player for s in traj.steps) == sched
+    for state, step in zip(traj.states(), traj.steps):
+        assert step.action in best_responses(g, state, step.player)
+    assert abs(traj.final_welfare - val) <= tol
+    assert abs(welfare(g, traj.final) - val) <= tol
+
+
+def test_adversarial_search_depth_ignores_recursion_limit():
+    con = build_common_interest_chain(400, 0.5)
+    before = sys.getrecursionlimit()
+    low = len(inspect.stack(0)) + 100
+    try:
+        sys.setrecursionlimit(low)
+        worst, _ = adversarial_min_welfare(con.game, 1)
+        assert sys.getrecursionlimit() == low
+    finally:
+        sys.setrecursionlimit(before)
+    ratio = worst / welfare(con.game, con.meta["optimal_action"])
+    assert abs(ratio - con.meta["target_ratio"]) <= 1e-9

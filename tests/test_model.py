@@ -156,6 +156,19 @@ def test_resource_requires_matching_first_values():
         Resource("bad", w, UtilityRule((0.5, 0.0)), 1.0)
 
 
+def test_resource_requires_finite_value():
+    w = make_welfare_rule("set_covering", 2)
+    f = UtilityRule((1.0, 0.0))
+    for bad in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValidationError):
+            Resource("bad", w, f, bad)
+
+
+def test_game_requires_a_resource():
+    with pytest.raises(ValidationError):
+        Game((), ((frozenset(),),))
+
+
 def test_game_inserts_empty_action_and_validates_ids():
     w = make_welfare_rule("set_covering", 2)
     f = UtilityRule((1.0, 0.0))
