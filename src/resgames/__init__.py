@@ -41,12 +41,10 @@ from .designs import (
     CHI_MIN,
     DesignSpec,
     apply_design,
-    chi_of_q,
     design_asymptotic,
     design_common_interest,
     design_one_round,
     design_pareto_setcov,
-    q_of_chi,
     resolve_design,
 )
 from .analytics import (

@@ -162,14 +162,6 @@ def design_pareto_setcov(chi: float | None = None, q: float | None = None,
     return make_utility_rule(tuple(vals), float(vals[-1]))
 
 
-def chi_of_q(q: float) -> float:
-    return (1.0 - q) / q
-
-
-def q_of_chi(chi: float) -> float:
-    return 1.0 / (1.0 + chi)
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """Serializable choice of utility design for experiment configs and the CLI.

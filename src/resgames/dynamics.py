@@ -49,6 +49,7 @@ class EnumerationCapError(RuntimeError):
     """
 
     def __init__(self, explored: int, cap: int, best_upper: float | None):
+        best_upper = None if best_upper is None else float(best_upper)
         super().__init__(
             f"tie enumeration exceeded cap={cap} (explored {explored} states); "
             f"best completed-path welfare so far: {best_upper}"
@@ -166,12 +167,21 @@ def _deterministic(g: Game, tie_break: str):
     return choose
 
 
+_INT16_LIMIT = 2**15  # the search mirrors hold counts and action indices as int16 below this
+
+
 class _AdversarialSearch:
     """Depth-first minimization of final welfare over all best-response ties.
 
-    Resources that no remaining mover can touch have their welfare finalized
-    and dropped from the memo key, so the reachable-state blowup from long
-    tie chains stays bounded by what the still-active resources distinguish.
+    The state at step t is the actions of the players that still move and
+    the counts of the resources that some step >= t can touch.  Every other
+    resource has its welfare finalized and is left out of the memo key, so
+    the reachable-state blowup from long tie chains stays bounded by what
+    the still-active resources distinguish.  Players and resources are
+    ordered by their last step, latest first, so both sets are prefixes of
+    that order.  ``J`` and ``C`` mirror ``joint`` and ``counts`` in it, as
+    int16 arrays (int32 when a count or an action index may not fit), and
+    the key at t is the bytes of their two prefixes, one memo dict per step.
     """
 
     def __init__(self, g: Game, schedule: tuple[int, ...], cap: int):
@@ -179,29 +189,63 @@ class _AdversarialSearch:
         self.schedule = schedule
         self.cap = cap
         n_steps = len(schedule)
-        player_res = [set().union(*acts) for acts in g.action_resources]
-        active: list[tuple[int, ...]] = [()] * (n_steps + 1)
-        cur: set[int] = set()
-        for t in reversed(range(n_steps)):
-            cur = cur | player_res[schedule[t]]
-            active[t] = tuple(sorted(cur))
-        self.active = active
+        player_last = [-1] * g.n_players
+        for t, i in enumerate(schedule):
+            player_last[i] = t
+        res_last = [-1] * g.n_resources
+        for i, acts in enumerate(g.action_resources):
+            for r in set().union(*acts):
+                res_last[r] = max(res_last[r], player_last[i])
+        self.players = sorted(range(g.n_players), key=lambda i: (-player_last[i], i))
+        self.res_order = sorted(range(g.n_resources), key=lambda r: (-res_last[r], r))
+        self.n_future = self._prefix_lengths(player_last, n_steps)
+        self.n_active = n_active = self._prefix_lengths(res_last, n_steps)
         self.finalized_after = [
-            tuple(sorted(set(active[t]) - set(active[t + 1]))) for t in range(n_steps)
+            self.res_order[n_active[t + 1]:n_active[t]] for t in range(n_steps)
         ]
-        self.future_players = [
-            tuple(sorted({schedule[s] for s in range(t, n_steps)})) for t in range(n_steps)
+        self.player_pos = np.argsort(self.players).tolist()
+        res_pos = np.argsort(self.res_order).tolist()
+        self.moves = [
+            [tuple((r, res_pos[r]) for r in res) for res in acts] for acts in g.action_resources
         ]
-        self.memo: dict[tuple, tuple[float, int]] = {}
+        widest = max(g.n_players + 1, max(map(len, g.actions)))
+        self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
+        self.memo: list[dict[bytes, tuple[float, int]]] = [{} for _ in range(n_steps)]
         self.explored = 0
         self.best_upper: float | None = None
+
+    @staticmethod
+    def _prefix_lengths(last: list[int], n_steps: int) -> list[int]:
+        """For t = 0..n_steps, how many entries of ``last`` are >= t."""
+        return (len(last) - np.searchsorted(np.sort(last), np.arange(n_steps + 1))).tolist()
+
+    def _reset(self) -> None:
+        """Puts ``joint``, ``counts`` and their mirrors at the null allocation."""
+        null = self.g.null_action()
+        self.joint = list(null)
+        self.counts = selection_counts(self.g, null).tolist()
+        # memoryviews: item updates and prefix bytes cost less than on the arrays
+        self.J = memoryview(np.array([null[i] for i in self.players], dtype=self.dtype))
+        self.C = memoryview(np.array([self.counts[r] for r in self.res_order], dtype=self.dtype))
+
+    def _set(self, i: int, a: int) -> None:
+        """Moves player i to action ``a`` in ``joint``, ``counts`` and the mirrors."""
+        counts, C, moves = self.counts, self.C, self.moves[i]
+        for r, p in moves[self.joint[i]]:
+            counts[r] -= 1
+            C[p] -= 1
+        self.joint[i] = self.J[self.player_pos[i]] = a
+        for r, p in moves[a]:
+            counts[r] += 1
+            C[p] += 1
+
+    def _key(self, t: int) -> bytes:
+        return self.J[:self.n_future[t]].tobytes() + self.C[:self.n_active[t]].tobytes()
 
     def run(self) -> float:
         """Drives the ``_solve`` generators from an explicit stack, so the
         search depth never touches the interpreter's recursion limit."""
-        g = self.g
-        self.counts = selection_counts(g, g.null_action()).tolist()
-        self.joint = list(g.null_action())
+        self._reset()
         stack = []
         t, acc = 0, 0.0
         while True:
@@ -218,22 +262,15 @@ class _AdversarialSearch:
             else:
                 return val
 
-    def _key(self, t: int, joint: list[int], counts: list[int]) -> tuple:
-        return (
-            t,
-            tuple(map(joint.__getitem__, self.future_players[t])),
-            tuple(map(counts.__getitem__, self.active[t])),
-        )
-
-    def _lookup(self, t: int, acc: float) -> tuple[float | None, tuple | None]:
+    def _lookup(self, t: int, acc: float) -> tuple[float | None, bytes | None]:
         """``(rest, None)`` when the welfare still to come after ``acc`` is
         known (the walk has ended or its state is memoised), else ``(None, key)``.
         Settling those here spares a generator per leaf and memo hit."""
         if t == len(self.schedule):
             rest = 0.0
         else:
-            key = self._key(t, self.joint, self.counts)
-            hit = self.memo.get(key)
+            key = self._key(t)
+            hit = self.memo[t].get(key)
             if hit is None:
                 return None, key
             rest = hit[0]
@@ -241,42 +278,39 @@ class _AdversarialSearch:
             self.best_upper = acc + rest
         return rest, None
 
-    def _solve(self, t: int, acc: float, key: tuple):
+    def _solve(self, t: int, acc: float, key: bytes):
         """Generator that searches the unmemoised state at step t, with
         ``acc`` already finalized.  It yields ``(t + 1, acc')`` for each tie,
         is sent back the welfare still to come there, and returns the least."""
         self.explored += 1
         if self.explored > self.cap:
             raise EnumerationCapError(self.explored, self.cap, self.best_upper)
-        g, counts, joint = self.g, self.counts, self.joint
+        g, counts = self.g, self.counts
         wtab = g.welfare_tables
         i = self.schedule[t]
-        old = joint[i]
-        ties = _ties(g, counts, i, old)
-        for r in g.action_resources[i][old]:
-            counts[r] -= 1
+        old = self.joint[i]
         best_val: float | None = None
         best_act = -1
-        for a_idx in ties:
-            joint[i] = a_idx
-            for r in g.action_resources[i][a_idx]:
-                counts[r] += 1
+        for a_idx in _ties(g, counts, i, old):
+            self._set(i, a_idx)
             released = sum(wtab[r, counts[r]] for r in self.finalized_after[t])
             val = released + (yield t + 1, acc + released)
-            for r in g.action_resources[i][a_idx]:
-                counts[r] -= 1
             if best_val is None or val < best_val:
                 best_val, best_act = val, a_idx
-        joint[i] = old
-        for r in g.action_resources[i][old]:
-            counts[r] += 1
-        self.memo[key] = (best_val, best_act)
+        self._set(i, old)
+        self.memo[t][key] = (best_val, best_act)
         return best_val
 
     def reconstruct(self) -> Trajectory:
-        """Replays the minimizing walk, reading each step's action from the memo."""
+        """Replays the minimizing walk on the mirrors, reading each step's
+        action from the memo, and records it with :func:`_walk`."""
+        self._reset()
+        acts = []
+        for t, i in enumerate(self.schedule):
+            acts.append(self.memo[t][self._key(t)][1])
+            self._set(i, acts[-1])
         return _walk(self.g, self.g.null_action(), self.schedule,
-                     lambda t, i, joint, counts: self.memo[self._key(t, joint, counts)][1])
+                     lambda t, i, joint, counts: acts[t])
 
 
 def adversarial_min_welfare(
@@ -294,7 +328,7 @@ def adversarial_min_welfare(
     """
     sched = round_robin_schedule(g.n_players, k) if schedule is None else schedule
     search = _AdversarialSearch(g, _check_schedule(g, sched), cap)
-    return search.run(), search.reconstruct()
+    return float(search.run()), search.reconstruct()
 
 
 def k_round_walk(

@@ -98,9 +98,9 @@ class UtilityRule:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         _require(len(self.values) >= 1, "utility rule needs at least f(1)")
-        _require(all(v >= -TOL for v in self.values), "utility values must be nonnegative")
+        _require(all(-TOL <= v < math.inf for v in self.values), "utility values must be finite and nonnegative")
         tail = self.values[-1] if self.tail_value is None else float(self.tail_value)
-        _require(tail >= -TOL, "tail value must be nonnegative")
+        _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
         object.__setattr__(self, "tail_value", tail)
 
     @property
@@ -303,24 +303,25 @@ class Game:
         return tuple(out)
 
     @cached_property
-    def values_vector(self) -> np.ndarray:
-        return np.array([r.value for r in self.resources])
-
-    @cached_property
     def welfare_tables(self) -> np.ndarray:
-        """(n_resources, n_players + 1) array of v_r * w_r(count)."""
-        n = self.n_players
+        """(n_resources, max(max_selectors) + 2) array of v_r * w_r(count).
+
+        No count passes ``max_selectors[r]``; the one spare count lets the
+        greedy sweep of :func:`~resgames.dynamics.optimum` read the increment
+        past the last reachable count.
+        """
+        n = max(self.max_selectors) + 1
         return np.stack([r.value * r.welfare.table(n) for r in self.resources])
 
     @cached_property
     def utility_tables(self) -> np.ndarray:
-        """(n_resources, n_players + 1) array of v_r * f_r(count)."""
-        n = self.n_players
+        """Array of v_r * f_r(count), shaped like :attr:`welfare_tables`."""
+        n = max(self.max_selectors) + 1
         return np.stack([r.value * r.utility.table(n) for r in self.resources])
 
     @cached_property
     def cumulative_utility_tables(self) -> np.ndarray:
-        """(n_resources, n_players + 1) array of v_r * sum_{i<=count} f_r(i)."""
+        """Array of v_r * sum_{i<=count} f_r(i), shaped like :attr:`welfare_tables`."""
         return np.cumsum(self.utility_tables, axis=1)
 
     def null_action(self) -> JointAction:

@@ -44,7 +44,7 @@ def brute_force_optimum(g: Game, *, chunk: int = 1 << 18) -> tuple[tuple[int, ..
             for r in res:
                 m[k, r] += 1
         onehot.append(m)
-    wtab_t = g.welfare_tables.T  # (n_players + 1, n_res)
+    wtab_t = g.welfare_tables.T  # (max(max_selectors) + 2, n_res)
     cols = np.arange(n_res)
     best_w = -np.inf
     best_flat = 0

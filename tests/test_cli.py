@@ -124,6 +124,8 @@ def test_budget_exit_code(tmp_path):
 @pytest.mark.parametrize("resources", [
     [],
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0]}, "value": float("inf")}],
+    [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0], "tail_value": float("inf")}}],
+    [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0, float("inf")]}}],
 ])
 def test_invalid_game_exit_code(tmp_path, capsys, resources):
     game_path = tmp_path / "game.json"

@@ -32,6 +32,7 @@ from resgames import (
     walk_to_nash,
     welfare,
 )
+from resgames import dynamics
 from resgames.constructions import (
     build_common_interest_chain,
     build_greedy_trap,
@@ -358,3 +359,42 @@ def test_adversarial_search_depth_ignores_recursion_limit():
         sys.setrecursionlimit(before)
     ratio = worst / welfare(con.game, con.meta["optimal_action"])
     assert abs(ratio - con.meta["target_ratio"]) <= 1e-9
+
+
+def _chain_search(n, c, k):
+    g = build_common_interest_chain(n, c).game
+    search = dynamics._AdversarialSearch(g, round_robin_schedule(g.n_players, k), 500_000)
+    return search.run(), search.explored, search.reconstruct()
+
+
+# (n, C, k), the visited-state count and the value's float.hex, recorded when
+# the search keyed its memo on tuples and the tables spanned n_players + 1 counts
+@pytest.mark.parametrize("n, c, k, visited, value", [
+    (12, 0.0, 3, 34812, "0x1.8000000000000p+3"),
+    (30, 0.5, 2, 1337, "0x1.e000000000000p+4"),
+])
+def test_adversarial_chain_search_is_pinned(n, c, k, visited, value):
+    val, explored, traj = _chain_search(n, c, k)
+    assert explored == visited
+    assert val.hex() == value
+    assert traj.final_welfare.hex() == value
+
+
+def test_adversarial_search_int32_mirrors_match_int16(monkeypatch):
+    narrow = _chain_search(30, 0.5, 2)
+    monkeypatch.setattr(dynamics, "_INT16_LIMIT", 2)
+    g = build_common_interest_chain(30, 0.5).game
+    assert dynamics._AdversarialSearch(g, (0,), 1).dtype == np.int32
+    wide = _chain_search(30, 0.5, 2)
+    assert wide[0].hex() == narrow[0].hex()
+    assert wide[1:] == narrow[1:]
+
+
+def test_adversarial_values_are_python_floats():
+    g = build_common_interest_chain(30, 0.5).game
+    val, _ = adversarial_min_welfare(g, 2)
+    assert type(val) is float
+    with pytest.raises(EnumerationCapError) as err:
+        adversarial_min_welfare(g, 2, cap=100)
+    assert type(err.value.best_upper) is float
+    assert type(EnumerationCapError(1, 0, np.float64(0.5)).best_upper) is float

@@ -227,3 +227,25 @@ def test_marginal_utility_equals_welfare_difference_for_ci(seed):
         assert utility_mc(g, joint, i) == pytest.approx(
             welfare(g, joint) - welfare(g, tuple(alone)), abs=1e-9
         )
+
+
+def test_utility_rule_rejects_non_finite():
+    for values, tail in (((1.0, float("inf")), None), ((1.0,), float("inf")), ((1.0, float("nan")), 0.0)):
+        with pytest.raises(ValidationError):
+            UtilityRule(values, tail)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tables_span_reachable_counts(seed):
+    g = random_game(np.random.default_rng(seed))
+    # a resource no player can select (max_selectors 0) is tabulated too
+    w = make_welfare_rule("harmonic", 2)
+    g = Game(g.resources + (Resource("idle", w, UtilityRule((1.0, 0.25), 0.1), 0.5),), g.actions)
+    width = max(g.max_selectors) + 2
+    for res, wrow, urow, top in zip(g.resources, g.welfare_tables, g.utility_tables, g.max_selectors):
+        assert len(wrow) == len(urow) == width
+        for c in range(top + 1):
+            assert wrow[c] == res.value * res.welfare.eval(c)
+            assert urow[c] == res.value * res.utility.eval(c)
+    assert g.cumulative_utility_tables.shape == g.welfare_tables.shape
