@@ -19,9 +19,9 @@ from .model import (
     welfare,
 )
 from .dynamics import (
+    ADVERSARIAL,
     INCUMBENT_THEN_LEX,
     LEXICOGRAPHIC,
-    AdversarialEnumerate,
     BudgetExceededError,
     EnumerationCapError,
     Step,

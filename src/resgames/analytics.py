@@ -189,8 +189,9 @@ def build_poa_lp(ws, fs, n: int) -> LPInstance:
                       tuple(wl), tuple(fl))
 
 
-def solve_poa_lp(ws, fs, n: int, *, feas_tol: float = 1e-8) -> LPSolution:
-    """Solve the n-agent price-of-anarchy LP to a basic optimal solution."""
+def solve_poa_lp(ws, fs, n: int) -> LPSolution:
+    """Solve the n-agent price-of-anarchy LP to a basic optimal solution;
+    an optimum whose residuals exceed 1e-8 raises RuntimeError."""
     # Deferred: scipy.optimize would dominate `import resgames`, and only LP solves need it.
     from scipy.optimize import linprog
 
@@ -212,7 +213,7 @@ def solve_poa_lp(ws, fs, n: int, *, feas_tol: float = 1e-8) -> LPSolution:
         "nonnegativity": max(0.0, -float(theta.min())) if len(theta) else 0.0,
     }
     q = -float(res.fun) if status == "optimal" else math.nan
-    if status == "optimal" and max(residuals.values()) > feas_tol:
+    if status == "optimal" and max(residuals.values()) > 1e-8:
         raise RuntimeError(f"LP solution exceeds feasibility tolerance: {residuals}")
     return LPSolution(status, q, theta, residuals, inst)
 
@@ -228,10 +229,7 @@ def poa_lp(ws, fs, n: int) -> float:
 def frontier_setcov(q: float, j_trunc: int) -> FrontierPoint:
     """Best one-round efficiency among set-covering rules whose limit-point
     efficiency is q, evaluated by tabulating the equalized-increment rule."""
-    if not 0.5 - 1e-12 <= q <= 1.0 - 1.0 / E + 1e-12:
-        raise ValidationError("q must lie in [1/2, 1 - 1/e]")
-    chi = (1.0 - q) / q
-    f = design_pareto_setcov(chi=chi, j_max=j_trunc)
+    f = design_pareto_setcov(q=q, j_max=j_trunc)
     return FrontierPoint(q, one_round_setcov(f, j_trunc))
 
 

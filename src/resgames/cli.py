@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .analytics import (
     theory_bounds,
 )
 from .constructions import (
-    ScalingError,
     build_common_interest_chain,
     build_greedy_trap,
     build_poa_witness,
@@ -28,9 +28,11 @@ from .constructions import (
 )
 from .designs import DesignSpec, resolve_design
 from .dynamics import (
-    AdversarialEnumerate,
+    ADVERSARIAL,
+    INCUMBENT_THEN_LEX,
     BudgetExceededError,
     EnumerationCapError,
+    adversarial_min_welfare,
     k_round_walk,
     reachable_nash_min,
     walk_to_nash,
@@ -49,12 +51,27 @@ def _design_from_args(args, w, j_max):
     return resolve_design(spec, w, j_max)
 
 
-def _parse_grid(text):
-    if ":" in text:
-        start, stop, step = (float(t) for t in text.split(":"))
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
-    return [float(text)]
+def grid(text):
+    """A number, or start:stop:step with a finite nonzero step toward stop."""
+    if ":" not in text:
+        return [float(text)]
+    start, stop, step = (float(t) for t in text.split(":"))
+    if not all(map(math.isfinite, (start, stop, step))) or step == 0 or (stop - start) * step < 0:
+        raise ValueError(text)
+    n = int(round((stop - start) / step))
+    return [start + i * step for i in range(n + 1)]
+
+
+def comma_ints(text):
+    return [int(t) for t in text.split(",")]
+
+
+def comma_floats(text):
+    return [float(t) for t in text.split(",")]
+
+
+def walk_rounds(text):
+    return math.inf if text == "inf" else int(text)
 
 
 def _emit(lines, out):
@@ -67,21 +84,17 @@ def _emit(lines, out):
 
 def _cmd_simulate(args):
     g = io.load_game(args.game)
-    if args.tiebreak == "adversarial":
-        tb = AdversarialEnumerate(cap=args.cap)
-    else:
-        tb = {"incumbent": "incumbent_then_lex", "lexicographic": "lexicographic"}[args.tiebreak]
-    schedule = None
-    if args.schedule:
-        schedule = [int(t) for t in args.schedule.split(",")]
-    if args.k == "inf":
-        if isinstance(tb, AdversarialEnumerate):
+    tb = INCUMBENT_THEN_LEX if args.tiebreak == "incumbent" else args.tiebreak
+    if args.k == math.inf and args.schedule is None:
+        if tb == ADVERSARIAL:
             w, state = reachable_nash_min(g, cap=args.cap)
             print(f"limit_welfare={w!r} state={list(state)}")
             return 0
         traj = walk_to_nash(g, tb)
+    elif tb == ADVERSARIAL:
+        _, traj = adversarial_min_welfare(g, args.k, cap=args.cap, schedule=args.schedule)
     else:
-        traj = k_round_walk(g, int(args.k), tb, schedule)
+        traj = k_round_walk(g, args.k, tb, args.schedule)
     if args.out:
         io.trajectory_to_jsonl(g, traj, args.out)
     print(f"final_welfare={traj.final_welfare!r} final_action={list(traj.final)}")
@@ -102,11 +115,11 @@ def _cmd_design(args):
 def _cmd_analyze(args):
     lines = ["parameter,value,truncation_flag"]
     if args.route == "bounds":
-        for c in _parse_grid(args.C_grid):
+        for c in args.C_grid:
             v = theory_bounds(c, args.k, args.design)
             lines.append(f"{c!r},{v!r},False")
     elif args.route == "frontier":
-        for q in _parse_grid(args.Q_grid):
+        for q in args.Q_grid:
             pt = frontier_setcov(q, args.jtrunc)
             lines.append(f"{q!r},{pt.one_round!r},False")
     elif args.route == "closed-form":
@@ -138,11 +151,10 @@ def _cmd_analyze(args):
 
 def _cmd_construct(args):
     if args.kind == "greedy_trap":
-        fvals = [float(t) for t in args.f_values.split(",")] if args.f_values else None
-        con = build_greedy_trap(args.eps, fvals)
+        con = build_greedy_trap(args.eps, args.f_values)
     elif args.kind == "two_agent_worst_case":
         if args.f_values:
-            f = UtilityRule(tuple(float(t) for t in args.f_values.split(",")))
+            f = UtilityRule(tuple(args.f_values))
         else:
             w = make_welfare_rule("bent", 2, b=1, curvature=args.C)
             f = _design_from_args(args, w, 8)
@@ -170,10 +182,7 @@ def _cmd_construct(args):
 
 
 def _cmd_experiment(args):
-    if args.config:
-        cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = ExperimentConfig()
+    cfg = ExperimentConfig.from_dict(io.load_json(args.config)) if args.config else ExperimentConfig()
     res = run_experiment(cfg)
     paths = export_result(res, args.format, args.out_dir)
     for p in paths:
@@ -187,11 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a best-response walk on a game JSON")
     sim.add_argument("--game", required=True)
-    sim.add_argument("--k", default="1", help="number of rounds, or 'inf'")
+    sim.add_argument("--k", type=walk_rounds, default="1", help="number of rounds, or 'inf'")
     sim.add_argument("--tiebreak", default="incumbent",
                      choices=["incumbent", "lexicographic", "adversarial"])
     sim.add_argument("--cap", type=int, default=500_000)
-    sim.add_argument("--schedule", default=None, help="comma-separated player indices")
+    sim.add_argument("--schedule", type=comma_ints, default=None, help="comma-separated player indices")
     sim.add_argument("--out", default=None, help="trajectory JSONL path")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -217,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="closed-form, LP, frontier, and bound values")
     ana.add_argument("--route", required=True,
                      choices=["closed-form", "lp", "frontier", "bounds", "one-round"])
-    ana.add_argument("--C-grid", dest="C_grid", default="0:1:0.25")
-    ana.add_argument("--Q-grid", dest="Q_grid", default="0.5")
-    ana.add_argument("--k", default="one")
+    ana.add_argument("--C-grid", dest="C_grid", type=grid, default="0:1:0.25")
+    ana.add_argument("--Q-grid", dest="Q_grid", type=grid, default="0.5")
+    ana.add_argument("--k", type=lambda t: int(t) if t.isdigit() else t, default="one")
     ana.add_argument("--n", type=int, default=50)
     ana.add_argument("--N", type=int, default=8)
     ana.add_argument("--jtrunc", type=int, default=10_000)
@@ -240,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--N1", type=int, default=3)
     con.add_argument("--N2", type=int, default=40)
     con.add_argument("--base-size", dest="base_size", type=int, default=100)
-    con.add_argument("--f-values", dest="f_values", default=None,
+    con.add_argument("--f-values", dest="f_values", type=comma_floats, default=None,
                      help="explicit comma-separated utility rule values")
     con.add_argument("--welfare", default="setcov",
                      choices=["setcov", "set_covering", "bent", "wta", "harmonic"])
@@ -263,7 +272,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, EnumerationCapError, ScalingError) as exc:
+    except (BudgetExceededError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0 if rc is None else rc

@@ -27,7 +27,7 @@ from .model import (
 
 
 class ScalingError(RuntimeError):
-    """Exact rationalization of block sizes exceeded the denominator bound."""
+    """f(2) has no exact rational form within the denominator bound."""
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,10 @@ class Construction:
     meta: dict
 
 
-def measured_ratio(con: Construction, k: int = 1, *, cap: int = 500_000) -> float:
+def measured_ratio(con: Construction, k: int = 1) -> float:
     """Worst tie-resolution welfare after k rounds over the reference optimum."""
-    worst, _ = adversarial_min_welfare(con.game, k, cap=cap)
+    worst, _ = adversarial_min_welfare(con.game, k)
     return worst / welfare(con.game, con.meta["optimal_action"])
-
-
-def _rationalize(value: float, denom_bound: int, exact: bool, what: str) -> Fraction:
-    frac = Fraction(value).limit_denominator(denom_bound)
-    if exact and abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
-        raise ScalingError(f"{what} = {value} has no exact rational form with denominator <= {denom_bound}")
-    return frac
 
 
 def build_greedy_trap(eps: float, f_values: Sequence[float] | None = None) -> Construction:
@@ -97,7 +90,9 @@ def build_two_agent_worst_case(c: float, f: UtilityRule, *, denom_bound: int = 1
         case = "f2_moderate"
     else:
         case = "f2_above_one"
-    frac = _rationalize(f2, denom_bound, exact, "f(2)")
+    frac = Fraction(f2).limit_denominator(denom_bound)
+    if exact and abs(float(frac) - f2) > 1e-12 * max(1.0, abs(f2)):
+        raise ScalingError(f"f(2) = {f2} has no exact rational form with denominator <= {denom_bound}")
     x, r3 = frac.denominator, frac.numerator
     w = make_welfare_rule("bent", 2, b=1, curvature=c)
     res = [Resource(f"a{i}", w, f, 1.0) for i in range(x)]
@@ -174,10 +169,9 @@ def build_common_interest_chain(n: int, c: float) -> Construction:
     return Construction(g, meta)
 
 
-def build_stack_or_spread(n: int, f: UtilityRule, base_size: int, *,
-                          exact: bool = False) -> Construction:
+def build_stack_or_spread(n: int, f: UtilityRule, base_size: int) -> Construction:
     """Set-covering game where each agent may pile onto a shared base set or
-    claim a private set sized f(i) * base_size.
+    claim a private set sized f(i) * base_size, rounded to an integer.
 
     Ties let a one-round walk stack everyone on the base; the reference
     optimum stacks only the agent with the smallest private set.
@@ -186,13 +180,7 @@ def build_stack_or_spread(n: int, f: UtilityRule, base_size: int, *,
         raise ValidationError("need at least one agent")
     if base_size < 1:
         raise ValidationError("base_size must be positive")
-    counts = []
-    for i in range(1, n + 1):
-        ideal = f.eval(i) * base_size
-        cnt = int(round(ideal))
-        if exact and abs(cnt - ideal) > 1e-9:
-            raise ScalingError(f"f({i}) * base_size = {ideal} is not integral")
-        counts.append(cnt)
+    counts = [int(round(f.eval(i) * base_size)) for i in range(1, n + 1)]
     w = make_welfare_rule("set_covering", max(n, 1))
     res = [Resource(f"base{t}", w, f, 1.0) for t in range(base_size)]
     for i in range(1, n + 1):
@@ -220,8 +208,7 @@ def build_stack_or_spread(n: int, f: UtilityRule, base_size: int, *,
     return Construction(g, meta)
 
 
-def build_poa_witness(sol: LPSolution, n2: int, *, denom_bound: int = 10**6,
-                      theta_tol: float = 1e-9, exact: bool = False) -> Construction:
+def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     """Game realizing the price-of-anarchy LP optimum along a one-round walk.
 
     For each LP variable (a, x, b, rule) with positive weight, lays out D
@@ -229,7 +216,8 @@ def build_poa_witness(sol: LPSolution, n2: int, *, denom_bound: int = 10**6,
     [i, i+a+x-1] and its reference-optimal allocation covers [i-b, i+x-1]
     (agents too early for a full window skip that variable).  Block sizes are
     proportional to theta with one common D = n2 + max(a+x) - 1, which keeps
-    the LP's constraint aligned with every agent's deviation margin.
+    the LP's constraint aligned with every agent's deviation margin.  Weights
+    up to 1e-9 are dropped and the rest rounded to denominators up to 10**6.
     """
     if sol.status != "optimal":
         raise ValidationError("need an optimal LP solution")
@@ -239,12 +227,12 @@ def build_poa_witness(sol: LPSolution, n2: int, *, denom_bound: int = 10**6,
     active = [
         (v, float(t))
         for v, t in zip(inst.variables, sol.theta)
-        if t > theta_tol
+        if t > 1e-9
     ]
     if not active:
         raise ValidationError("LP solution has no active variables")
     d_span = n2 + max(a + x for (a, x, b, ell), _ in active) - 1
-    fracs = [_rationalize(t, denom_bound, exact, "theta") for _, t in active]
+    fracs = [Fraction(t).limit_denominator(10**6) for _, t in active]
     scale = math.lcm(*(fr.denominator for fr in fracs))
     block_counts = [int(fr * scale) for fr in fracs]
     max_sel = max((a + x) + (b + x) for (a, x, b, ell), _ in active)

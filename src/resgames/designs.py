@@ -214,18 +214,15 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int | None = N
     return f if abs(scale - 1.0) <= 1e-15 else f.scaled(scale)
 
 
-def apply_design(g: Game, spec: DesignSpec | str | Callable[[WelfareRule], UtilityRule],
-                 j_max: int | None = None) -> Game:
-    """Replace every resource's utility rule with the design's output."""
-    jm = j_max if j_max is not None else max(g.n_players, 8)
+def apply_design(g: Game, spec: DesignSpec | str) -> Game:
+    """Replace every resource's utility rule with the design's output,
+    tabulated to max(n_players, 8) selectors."""
+    jm = max(g.n_players, 8)
     cache: dict[int, UtilityRule] = {}
     out = []
     for r in g.resources:
         key = id(r.welfare)
         if key not in cache:
-            if callable(spec) and not isinstance(spec, (DesignSpec, str)):
-                cache[key] = spec(r.welfare)
-            else:
-                cache[key] = resolve_design(spec, r.welfare, jm)
+            cache[key] = resolve_design(spec, r.welfare, jm)
         out.append(Resource(r.rid, r.welfare, cache[key], r.value))
     return Game(tuple(out), g.actions)

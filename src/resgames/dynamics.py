@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -18,15 +19,10 @@ from .model import (
 
 INCUMBENT_THEN_LEX = "incumbent_then_lex"
 LEXICOGRAPHIC = "lexicographic"
+#: The worst case over every tie resolution; only :func:`efficiency` takes it.
+ADVERSARIAL = "adversarial"
 
 _WALK_STEP_CEILING = 10**6
-
-
-@dataclass(frozen=True)
-class AdversarialEnumerate:
-    """Tie-break mode that minimizes final welfare over every tie resolution."""
-
-    cap: int = 500_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -92,7 +88,14 @@ def round_robin_schedule(n_players: int, k: int) -> tuple[int, ...]:
     return tuple(i for _ in range(k) for i in range(n_players))
 
 
-def _check_schedule(g: Game, schedule: Sequence[int]) -> tuple[int, ...]:
+def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[int, ...]:
+    """The walk's steps, ``schedule`` or else k round-robin rounds; k must be a positive integer."""
+    if schedule is not None and k == math.inf:
+        raise ValidationError("a schedule needs a finite k")
+    if not isinstance(k, Integral) or k < 1:
+        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    if schedule is None:
+        return round_robin_schedule(g.n_players, k)
     sched = tuple(int(i) for i in schedule)
     if not sched:
         raise ValidationError("schedule must be nonempty")
@@ -313,54 +316,38 @@ class _AdversarialSearch:
                      lambda t, i, joint, counts: acts[t])
 
 
-def adversarial_min_welfare(
-    g: Game,
-    k: int = 1,
-    *,
-    cap: int = 500_000,
-    schedule: Sequence[int] | None = None,
-) -> tuple[float, Trajectory]:
+def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
+                            schedule: Sequence[int] | None = None) -> tuple[float, Trajectory]:
     """Minimum final welfare over all tie resolutions of a walk from the null
     allocation, and a trajectory that attains it.
 
     The walk runs ``k`` round-robin rounds unless ``schedule`` gives its step
-    sequence, in which case ``k`` is ignored.
+    sequence; ``k`` must still be a positive integer.  More than ``cap``
+    searched states raise :class:`EnumerationCapError`.
     """
-    sched = round_robin_schedule(g.n_players, k) if schedule is None else schedule
-    search = _AdversarialSearch(g, _check_schedule(g, sched), cap)
+    search = _AdversarialSearch(g, _check_schedule(g, k, schedule), cap)
     return float(search.run()), search.reconstruct()
 
 
-def k_round_walk(
-    g: Game,
-    k: int,
-    tie_break: str | AdversarialEnumerate = INCUMBENT_THEN_LEX,
-    schedule: Sequence[int] | None = None,
-) -> Trajectory:
-    """Best-response walk from the null allocation for k full rounds.
+def k_round_walk(g: Game, k: int, tie_break: str = INCUMBENT_THEN_LEX,
+                 schedule: Sequence[int] | None = None) -> Trajectory:
+    """Best-response walk from the null allocation for k full rounds, with
+    ties kept by the incumbent (``INCUMBENT_THEN_LEX``) or resolved to the
+    lowest index (``LEXICOGRAPHIC``).
 
     ``schedule`` replaces the k round-robin rounds with its own step
-    sequence.  Under :class:`AdversarialEnumerate` the returned trajectory is
-    one that attains the minimum final welfare over all tie resolutions.
+    sequence; ``k`` must still be a positive integer.  The worst walk over
+    every tie resolution is :func:`adversarial_min_welfare`'s.
     """
-    if k < 1:
-        raise ValidationError("k must be a positive integer")
-    sched = round_robin_schedule(g.n_players, k) if schedule is None else _check_schedule(g, schedule)
-    if isinstance(tie_break, AdversarialEnumerate):
-        _, traj = adversarial_min_welfare(g, cap=tie_break.cap, schedule=sched)
-        return traj
+    sched = _check_schedule(g, k, schedule)
     return _walk(g, g.null_action(), sched, _deterministic(g, tie_break))
 
 
-def walk_to_nash(
-    g: Game,
-    tie_break: str = INCUMBENT_THEN_LEX,
-    max_steps: int = _WALK_STEP_CEILING,
-) -> Trajectory:
+def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
     """Iterate rounds until a full round leaves the state unchanged.
 
-    Convergence is guaranteed by the potential; ``max_steps`` guards against
-    tolerance artifacts.
+    Convergence is guaranteed by the potential; a ceiling of 10**6 steps
+    (:class:`EnumerationCapError`) guards against tolerance artifacts.
     """
     n = g.n_players
     one_round = round_robin_schedule(n, 1)
@@ -369,8 +356,8 @@ def walk_to_nash(
     state = g.null_action()
     taken = 0
     while True:
-        if taken + n > max_steps:
-            raise EnumerationCapError(taken, max_steps, None)
+        if taken + n > _WALK_STEP_CEILING:
+            raise EnumerationCapError(taken, _WALK_STEP_CEILING, None)
         traj = _walk(g, state, one_round, choose, taken)
         taken += n
         all_steps.extend(traj.steps)
@@ -520,34 +507,27 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     return tuple(reversed(joint)), best_w
 
 
-def efficiency(
-    g: Game,
-    k: int | float,
-    tie_break: str | AdversarialEnumerate = INCUMBENT_THEN_LEX,
-    *,
-    budget: int = 10**8,
-    schedule: Sequence[int] | None = None,
-) -> float:
+def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> float:
     """Walk welfare after k rounds (or at the limit) divided by the exact optimum.
 
-    ``k`` may be ``math.inf`` to measure the limit point.  For finite ``k``,
-    ``schedule`` replaces the k round-robin rounds with its own step sequence.
-    Adversarial tie breaking reports the worst attainable value.
+    ``k`` is a positive integer, or ``math.inf`` for the limit point.
+    ``tie_break`` is a rule of :func:`k_round_walk` or ``ADVERSARIAL``, the
+    worst value over every tie resolution: that of
+    :func:`adversarial_min_welfare`, or of :func:`reachable_nash_min` at the
+    limit.  Other caps or schedules are those functions' own.
     """
-    _, opt_w = optimum(g, budget=budget)
+    limit = k == math.inf
+    if not limit:
+        _check_schedule(g, k, None)  # a bad k raises before the optimum's cost
+    _, opt_w = optimum(g)
     if opt_w <= 0.0:
         return 1.0
-    adversarial = isinstance(tie_break, AdversarialEnumerate)
-    if k == math.inf:
-        if adversarial:
-            w, _ = reachable_nash_min(g, cap=tie_break.cap)
-        else:
-            w = welfare(g, walk_to_nash(g, tie_break).final)
+    if tie_break == ADVERSARIAL:
+        w = (reachable_nash_min(g) if limit else adversarial_min_welfare(g, k))[0]
+    elif limit:
+        w = welfare(g, walk_to_nash(g, tie_break).final)
     else:
-        if adversarial:
-            w, _ = adversarial_min_welfare(g, int(k), cap=tie_break.cap, schedule=schedule)
-        else:
-            w = k_round_walk(g, int(k), tie_break, schedule).final_welfare
+        w = k_round_walk(g, k, tie_break).final_welfare
     return w / opt_w
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -57,14 +58,15 @@ class ExperimentConfig:
     designs: tuple[DesignSpec, ...] = field(default_factory=_default_designs)
 
     def __post_init__(self):
+        for name in ("n_agents", "n_targets", "actions_per_agent", "action_width", "n_instances", "rounds"):
+            if not isinstance(getattr(self, name), Integral) or getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be a positive integer")
+        if not isinstance(self.master_seed, Integral):
+            raise ValidationError("master_seed must be an integer")
         if self.action_width > self.n_targets:
             raise ValidationError("action_width cannot exceed n_targets")
-        if not 0.0 < self.p_hit <= 1.0:
+        if not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):
             raise ValidationError("p_hit must lie in (0, 1]")
-        for name in ("n_agents", "n_targets", "actions_per_agent", "action_width",
-                     "n_instances", "rounds"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
         object.__setattr__(self, "designs", tuple(self.designs))
 
     def to_dict(self) -> dict:
@@ -74,11 +76,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        designs = tuple(DesignSpec.from_dict(s) for s in d.pop("designs", []))
-        if not designs:
-            designs = _default_designs()
-        return ExperimentConfig(designs=designs, **d)
+        try:
+            d = dict(d)
+            designs = tuple(DesignSpec.from_dict(s) for s in d.pop("designs", []))
+            return ExperimentConfig(designs=designs or _default_designs(), **d)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed experiment config: {exc}") from exc
 
 
 @dataclass
@@ -112,9 +117,9 @@ def gen_wta(cfg: ExperimentConfig, instance_index: int) -> Game:
     return Game(res, tuple(actions))
 
 
-def _run_instance(cfg: ExperimentConfig, idx: int, budget: int) -> list[Row]:
+def _run_instance(cfg: ExperimentConfig, idx: int) -> list[Row]:
     base = gen_wta(cfg, idx)
-    _, opt_w = optimum(base, budget=budget)
+    _, opt_w = optimum(base)
     n = base.n_players
     rows = []
     for spec in cfg.designs:
@@ -126,11 +131,11 @@ def _run_instance(cfg: ExperimentConfig, idx: int, budget: int) -> list[Row]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, *, budget: int = 10**8) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every instance and design: walks use incumbent-keeping ties and each
     round's welfare is normalized by the instance's exact optimum (brute
     force with bound-pruned blocks, see :func:`~resgames.dynamics.optimum`)."""
-    rows = [row for i in range(cfg.n_instances) for row in _run_instance(cfg, i, budget)]
+    rows = [row for i in range(cfg.n_instances) for row in _run_instance(cfg, i)]
     summary = summarize(cfg, rows)
     return ExperimentResult(cfg, rows, summary)
 
@@ -153,14 +158,14 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[Row]) -> list[SummaryRow]:
 def export_result(res: ExperimentResult, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write raw.csv / summary.csv and-or result.json; floats use shortest
     round-trip formatting so identical runs export identical bytes."""
+    if fmt not in ("csv", "json", "both"):
+        raise ValidationError("format must be csv, json, or both")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     paths = []
-    if fmt not in ("csv", "json", "both"):
-        raise ValidationError("format must be csv, json, or both")
     if fmt in ("csv", "both"):
         raw = out / "raw.csv"
         with raw.open("w", newline="") as fh:

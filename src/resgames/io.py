@@ -48,6 +48,7 @@ def _welfare_from_dict(d: dict) -> WelfareRule:
 
 
 def game_from_dict(d: dict) -> Game:
+    """The game a :func:`game_to_dict` description gives, or a :class:`ValidationError`."""
     try:
         resources = tuple(
             Resource(
@@ -61,9 +62,11 @@ def game_from_dict(d: dict) -> Game:
         actions = tuple(
             tuple(frozenset(a) for a in pd["actions"]) for pd in d["players"]
         )
-    except (KeyError, TypeError) as exc:
+        return Game(resources, actions)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed game description: {exc}") from exc
-    return Game(resources, actions)
 
 
 def save_game(g: Game, path: str | Path) -> None:
@@ -72,9 +75,17 @@ def save_game(g: Game, path: str | Path) -> None:
         fh.write("\n")
 
 
+def load_json(path: str | Path):
+    """The JSON at ``path``; an unreadable file or invalid JSON is a :class:`ValidationError`."""
+    try:
+        with Path(path).open() as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def load_game(path: str | Path) -> Game:
-    with Path(path).open() as fh:
-        return game_from_dict(json.load(fh))
+    return game_from_dict(load_json(path))
 
 
 def trajectory_to_jsonl(g: Game, traj: Trajectory, path: str | Path) -> None:

@@ -66,8 +66,6 @@ class WelfareRule:
             return self.values[j - 1]
         return self.values[-1] + self.tail_slope * (j - len(self.values))
 
-    __call__ = eval
-
     def table(self, n: int) -> np.ndarray:
         """Array [w(0), w(1), ..., w(n)]."""
         out = np.empty(n + 1)
@@ -114,8 +112,6 @@ class UtilityRule:
             return self.values[j - 1]
         return self.tail_value
 
-    __call__ = eval
-
     def is_nonincreasing(self) -> bool:
         seq = self.values + (self.tail_value,)
         return all(hi <= lo + TOL for lo, hi in zip(seq, seq[1:]))
@@ -134,12 +130,11 @@ class UtilityRule:
         return UtilityRule(tuple(v * s for v in self.values), self.tail_value * s)
 
 
-def make_utility_rule(values: Sequence[float], tail_value: float | None = None,
-                      *, require_monotone: bool = True) -> UtilityRule:
-    """Build a utility rule, by default enforcing the nonincreasing invariant."""
+def make_utility_rule(values: Sequence[float], tail_value: float | None = None) -> UtilityRule:
+    """Build a utility rule and enforce the nonincreasing invariant; build a
+    :class:`UtilityRule` directly for a non-monotone one."""
     rule = UtilityRule(tuple(values), tail_value)
-    if require_monotone:
-        _require(rule.is_nonincreasing(), "utility rule must be nonincreasing")
+    _require(rule.is_nonincreasing(), "utility rule must be nonincreasing")
     return rule
 
 

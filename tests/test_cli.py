@@ -126,9 +126,63 @@ def test_budget_exit_code(tmp_path):
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0]}, "value": float("inf")}],
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0], "tail_value": float("inf")}}],
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0, float("inf")]}}],
+    [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0]}, "value": "abc"}],
+    '{"resources": [',  # a string is the file's whole text: invalid JSON
+    None,  # no file at all
 ])
 def test_invalid_game_exit_code(tmp_path, capsys, resources):
     game_path = tmp_path / "game.json"
-    game_path.write_text(json.dumps({"resources": resources, "players": [{"actions": [[]]}]}))
+    if isinstance(resources, str):
+        game_path.write_text(resources)
+    elif resources is not None:
+        game_path.write_text(json.dumps({"resources": resources, "players": [{"actions": [[]]}]}))
     assert main(["simulate", "--game", str(game_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [{"n_agents": 4, "bogus": 1}, {"n_agents": 2.5}, "{", None])
+def test_invalid_config_exit_code(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--game", "g.json", "--k", "abc"],
+    ["simulate", "--game", "g.json", "--schedule", "0,x"],
+    ["construct", "--kind", "greedy_trap", "--f-values", "1,x", "--out", "t.json"],
+    ["analyze", "--route", "bounds", "--C-grid", "0:1:0"],
+    ["analyze", "--route", "bounds", "--C-grid", "abc"],
+    ["analyze", "--route", "bounds", "--C-grid", "0:1:-0.25"],
+    ["analyze", "--route", "bounds", "--C-grid", "0:1:nan"],
+    ["analyze", "--route", "bounds", "--C-grid", "0:1"],
+])
+def test_malformed_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_analyze_bounds_integer_rounds(capsys):
+    assert main(["analyze", "--route", "bounds", "--C-grid", "0.5", "--k", "3", "--design", "optimal"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0.5,0.75,False"
+    assert main(["analyze", "--route", "bounds", "--C-grid", "1:0:-0.5", "--k", "inf", "--design", "optimal"]) == 0
+    vals = [float(l.split(",")[0]) for l in capsys.readouterr().out.splitlines()[1:]]
+    assert vals == [1.0, 0.5, 0.0]
+    assert main(["analyze", "--route", "bounds", "--k", "two"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_schedule_needs_finite_k(tmp_path, capsys):
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
+    capsys.readouterr()
+    for tiebreak in ("incumbent", "adversarial"):
+        rc = main(["simulate", "--game", str(game_path), "--k", "inf", "--schedule", "1,0",
+                   "--tiebreak", tiebreak])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

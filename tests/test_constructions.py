@@ -106,7 +106,7 @@ def test_stack_or_spread():
 
 def test_stack_or_spread_matches_truncated_formula():
     f = design_asymptotic(1, 1.0, 8)
-    con = build_stack_or_spread(4, f, 840, exact=False)  # 840 f(i) is near-integral at small i
+    con = build_stack_or_spread(4, f, 840)  # 840 f(i) is near-integral at small i
     assert measured_ratio(con, 1) == pytest.approx(con.meta["target_ratio"], abs=1e-9)
 
 

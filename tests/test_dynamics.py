@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from resgames import (
-    AdversarialEnumerate,
+    ADVERSARIAL,
     BudgetExceededError,
     EnumerationCapError,
     Game,
@@ -134,7 +134,7 @@ def test_optimum_budget():
 def test_efficiency_examples(trap_ci):
     assert efficiency(trap_ci, math.inf) == pytest.approx(1.2 / 2.1, abs=1e-12)
     con = build_two_agent_worst_case(1.0, design_one_round(1.0))
-    assert efficiency(con.game, 1, AdversarialEnumerate()) == pytest.approx(0.5, abs=1e-12)
+    assert efficiency(con.game, 1, ADVERSARIAL) == pytest.approx(0.5, abs=1e-12)
     # a game already at its optimum fixed point
     w = make_welfare_rule("set_covering", 1)
     f = UtilityRule((1.0,))
@@ -145,7 +145,7 @@ def test_efficiency_examples(trap_ci):
 def test_efficiency_in_unit_interval(rng):
     for _ in range(25):
         g = random_game(rng)
-        e = efficiency(g, 2, AdversarialEnumerate())
+        e = efficiency(g, 2, ADVERSARIAL)
         assert -1e-12 <= e <= 1 + 1e-12
 
 
@@ -232,7 +232,7 @@ def test_adversarial_cap_carries_bounds():
 
 
 def test_efficiency_infinite_adversarial(trap_ci):
-    e = efficiency(trap_ci, math.inf, AdversarialEnumerate())
+    e = efficiency(trap_ci, math.inf, ADVERSARIAL)
     assert e == pytest.approx(1.2 / 2.1, abs=1e-12)
 
 
@@ -245,6 +245,54 @@ def test_schedule_validation(trap_ci):
         k_round_walk(trap_ci, 1, schedule=[0, 5])
     with pytest.raises(ValidationError):
         k_round_walk(trap_ci, 0)
+
+
+def test_efficiency_adversarial_is_the_search_over_the_optimum(rng):
+    for _ in range(15):
+        g = random_game(rng)
+        opt = optimum(g)[1]
+        for k in (1, 2):
+            assert efficiency(g, k, ADVERSARIAL) == adversarial_min_welfare(g, k)[0] / opt
+        assert efficiency(g, math.inf, ADVERSARIAL) == reachable_nash_min(g)[0] / opt
+
+
+def _zero_welfare_game():
+    w = make_welfare_rule("set_covering", 1)
+    return Game((Resource("a", w, UtilityRule((1.0,)), 0.0),), ((frozenset(), frozenset({"a"})),))
+
+
+@pytest.mark.parametrize("k, schedule", [(0, None), (1.5, None), (math.inf, [0, 1]), (0, [0, 1])])
+def test_every_walk_entry_point_checks_k_and_schedule(trap_ci, k, schedule):
+    from resgames import ValidationError
+
+    calls = [
+        lambda g: k_round_walk(g, k, schedule=schedule),
+        lambda g: adversarial_min_welfare(g, k, schedule=schedule),
+    ]
+    if schedule is None:  # efficiency takes no schedule
+        calls += [lambda g: efficiency(g, k), lambda g: efficiency(g, k, ADVERSARIAL)]
+    # the zero-welfare game checks that efficiency validates before its early return
+    for g in (trap_ci, _zero_welfare_game()):
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call(g)
+
+
+def test_walk_entry_points_reject_the_limit(trap_ci):
+    from resgames import ValidationError
+
+    with pytest.raises(ValidationError):
+        k_round_walk(trap_ci, math.inf)
+    with pytest.raises(ValidationError):
+        adversarial_min_welfare(trap_ci, math.inf)
+    assert efficiency(_zero_welfare_game(), math.inf) == 1.0
+
+
+def test_k_round_walk_is_deterministic_only(trap_ci):
+    from resgames import ValidationError
+
+    with pytest.raises(ValidationError):
+        k_round_walk(trap_ci, 1, ADVERSARIAL)
 
 
 def test_reachable_nash_min(trap_ci):

@@ -117,6 +117,22 @@ def test_export_empty_result(tmp_path):
     assert summ.read_text() == "design,round,min,q1,median,q3,max\n"
 
 
+def test_export_rejects_format_before_creating_the_directory(tmp_path):
+    res = ExperimentResult(SMALL, [], [])
+    with pytest.raises(ValidationError):
+        export_result(res, "xml", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_non_integer_counts_and_unknown_keys():
+    with pytest.raises(ValidationError):
+        ExperimentConfig(n_agents=2.5)
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_dict({"bogus": 1})
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_dict({"designs": [{"family": "one_round", "bogus": 1}]})
+
+
 def test_budget_guard():
     big = ExperimentConfig(n_agents=30, n_targets=31, n_instances=1)
     with pytest.raises(BudgetExceededError):

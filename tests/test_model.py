@@ -143,8 +143,8 @@ def test_normalize_noop_on_normalized():
 def test_utility_rule_invariants():
     with pytest.raises(ValidationError):
         make_utility_rule((1.0, 1.2))
-    # non-monotone allowed only when explicitly unchecked
-    r = make_utility_rule((1.0, 1.2), require_monotone=False)
+    # non-monotone allowed only when built directly
+    r = UtilityRule((1.0, 1.2))
     assert r.eval(2) == 1.2
     with pytest.raises(ValidationError):
         UtilityRule((1.0, -0.5))
