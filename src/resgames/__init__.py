@@ -63,7 +63,6 @@ from .analytics import (
 )
 from .constructions import (
     Construction,
-    ScalingError,
     build_common_interest_chain,
     build_greedy_trap,
     build_poa_witness,

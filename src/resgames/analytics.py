@@ -136,18 +136,18 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
 class LPInstance:
     """Price-of-anarchy LP in standard form.
 
-    Variables are indexed by (a, x, b, rule) with integers a, x, b >= 0,
+    Variables are indexed by (a, x, b) with integers a, x, b >= 0,
     1 <= a+x+b <= n.  Maximize objective . theta subject to
     nash_row . theta >= 0, norm_row . theta = 1, theta >= 0.
     """
 
     n: int
-    variables: tuple[tuple[int, int, int, int], ...]
+    variables: tuple[tuple[int, int, int], ...]
     objective: np.ndarray
     nash_row: np.ndarray
     norm_row: np.ndarray
-    welfare_rules: tuple[WelfareRule, ...]
-    utility_rules: tuple[UtilityRule, ...]
+    welfare: WelfareRule
+    utility: UtilityRule
 
 
 @dataclass(frozen=True)
@@ -159,43 +159,33 @@ class LPSolution:
     instance: LPInstance
 
 
-def _as_rule_lists(ws, fs) -> tuple[list[WelfareRule], list[UtilityRule]]:
-    wl = [ws] if isinstance(ws, WelfareRule) else list(ws)
-    fl = [fs] if isinstance(fs, UtilityRule) else list(fs)
-    if len(wl) != len(fl):
-        raise ValidationError("welfare and utility rule lists must align")
-    return wl, fl
-
-
-def build_poa_lp(ws, fs, n: int) -> LPInstance:
-    wl, fl = _as_rule_lists(ws, fs)
+def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
+    """The n-agent price-of-anarchy LP of the welfare rule w under the utility rule f."""
     if n < 1:
         raise ValidationError("n must be positive")
     variables = []
     obj, nash, norm = [], [], []
-    for ell, (w, f) in enumerate(zip(wl, fl)):
-        wt = w.table(n)
-        ft = f.table(n + 1)
-        for a in range(n + 1):
-            for x in range(n + 1 - a):
-                for b in range(n + 1 - a - x):
-                    if a + x + b < 1:
-                        continue
-                    variables.append((a, x, b, ell))
-                    obj.append(wt[b + x])
-                    nash.append(a * ft[a + x] - b * ft[a + x + 1])
-                    norm.append(wt[a + x])
-    return LPInstance(n, tuple(variables), np.array(obj), np.array(nash), np.array(norm),
-                      tuple(wl), tuple(fl))
+    wt = w.table(n)
+    ft = f.table(n + 1)
+    for a in range(n + 1):
+        for x in range(n + 1 - a):
+            for b in range(n + 1 - a - x):
+                if a + x + b < 1:
+                    continue
+                variables.append((a, x, b))
+                obj.append(wt[b + x])
+                nash.append(a * ft[a + x] - b * ft[a + x + 1])
+                norm.append(wt[a + x])
+    return LPInstance(n, tuple(variables), np.array(obj), np.array(nash), np.array(norm), w, f)
 
 
-def solve_poa_lp(ws, fs, n: int) -> LPSolution:
-    """Solve the n-agent price-of-anarchy LP to a basic optimal solution;
-    an optimum whose residuals exceed 1e-8 raises RuntimeError."""
+def solve_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPSolution:
+    """Solve the n-agent price-of-anarchy LP of w under f to a basic optimal
+    solution; an optimum whose residuals exceed 1e-8 raises RuntimeError."""
     # Deferred: scipy.optimize would dominate `import resgames`, and only LP solves need it.
     from scipy.optimize import linprog
 
-    inst = build_poa_lp(ws, fs, n)
+    inst = build_poa_lp(w, f, n)
     res = linprog(
         -inst.objective,
         A_ub=-inst.nash_row[None, :],
@@ -218,9 +208,9 @@ def solve_poa_lp(ws, fs, n: int) -> LPSolution:
     return LPSolution(status, q, theta, residuals, inst)
 
 
-def poa_lp(ws, fs, n: int) -> float:
-    """n-agent price of anarchy 1/Q from the LP optimum Q."""
-    sol = solve_poa_lp(ws, fs, n)
+def poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> float:
+    """n-agent price of anarchy 1/Q of w under f from the LP optimum Q."""
+    sol = solve_poa_lp(w, f, n)
     if sol.status != "optimal":
         raise RuntimeError(f"price-of-anarchy LP did not solve: {sol.status}")
     return 1.0 / sol.q

@@ -26,10 +26,6 @@ from .model import (
 )
 
 
-class ScalingError(RuntimeError):
-    """f(2) has no exact rational form within the denominator bound."""
-
-
 @dataclass(frozen=True)
 class Construction:
     game: Game
@@ -67,19 +63,18 @@ def build_greedy_trap(eps: float, f_values: Sequence[float] | None = None) -> Co
         "eps": eps,
         "optimal_action": (1, 1),
         "optimal_welfare": welfare(g, (1, 1)),
-        "tie_break": "adversarial_enumerate",
     }
     return Construction(g, meta)
 
 
-def build_two_agent_worst_case(c: float, f: UtilityRule, *, denom_bound: int = 10**6,
-                               exact: bool = False) -> Construction:
+def build_two_agent_worst_case(c: float, f: UtilityRule) -> Construction:
     """Two-agent bend-1 game showing a k-round walk can stop at ratio 1 - c/2.
 
     The wiring depends on where f(2) falls: below 1-c the bad outcome is a
     plain Nash lock, between 1-c and 1 the walk can idle on a tied Nash state
     and overlap in the last round, and above 1 overlapping is outright
-    preferred.
+    preferred.  Resource counts follow f(2) rounded to a fraction with
+    denominator at most 10**6.
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("curvature must lie in [0, 1]")
@@ -90,9 +85,7 @@ def build_two_agent_worst_case(c: float, f: UtilityRule, *, denom_bound: int = 1
         case = "f2_moderate"
     else:
         case = "f2_above_one"
-    frac = Fraction(f2).limit_denominator(denom_bound)
-    if exact and abs(float(frac) - f2) > 1e-12 * max(1.0, abs(f2)):
-        raise ScalingError(f"f(2) = {f2} has no exact rational form with denominator <= {denom_bound}")
+    frac = Fraction(f2).limit_denominator(10**6)
     x, r3 = frac.denominator, frac.numerator
     w = make_welfare_rule("bent", 2, b=1, curvature=c)
     res = [Resource(f"a{i}", w, f, 1.0) for i in range(x)]
@@ -126,7 +119,6 @@ def build_two_agent_worst_case(c: float, f: UtilityRule, *, denom_bound: int = 1
         "target_ratio": target,
         "optimal_action": optimal,
         "optimal_welfare": welfare(g, optimal),
-        "tie_break": "adversarial_enumerate",
     }
     return Construction(g, meta)
 
@@ -164,7 +156,6 @@ def build_common_interest_chain(n: int, c: float) -> Construction:
         "walk_welfare": float(n),
         "optimal_action": optimal,
         "optimal_welfare": welfare(g, optimal),
-        "tie_break": "adversarial_enumerate",
     }
     return Construction(g, meta)
 
@@ -203,7 +194,6 @@ def build_stack_or_spread(n: int, f: UtilityRule, base_size: int) -> Constructio
         "ideal_ratio": 1.0 / (1.0 + sum(ft) - min(ft)) if n > 1 else 1.0,
         "optimal_action": optimal,
         "optimal_welfare": welfare(g, optimal),
-        "tie_break": "adversarial_enumerate",
     }
     return Construction(g, meta)
 
@@ -211,7 +201,7 @@ def build_stack_or_spread(n: int, f: UtilityRule, base_size: int) -> Constructio
 def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     """Game realizing the price-of-anarchy LP optimum along a one-round walk.
 
-    For each LP variable (a, x, b, rule) with positive weight, lays out D
+    For each LP variable (a, x, b) with positive weight, lays out D
     consecutive blocks of resources; agent i's bad allocation covers blocks
     [i, i+a+x-1] and its reference-optimal allocation covers [i-b, i+x-1]
     (agents too early for a full window skip that variable).  Block sizes are
@@ -231,24 +221,22 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     ]
     if not active:
         raise ValidationError("LP solution has no active variables")
-    d_span = n2 + max(a + x for (a, x, b, ell), _ in active) - 1
+    d_span = n2 + max(a + x for (a, x, b), _ in active) - 1
     fracs = [Fraction(t).limit_denominator(10**6) for _, t in active]
     scale = math.lcm(*(fr.denominator for fr in fracs))
     block_counts = [int(fr * scale) for fr in fracs]
-    max_sel = max((a + x) + (b + x) for (a, x, b, ell), _ in active)
-    rules = []
-    for w in inst.welfare_rules:
-        if w.j_max < max_sel:
-            w = WelfareRule(tuple(w.table(max_sel)[1:]), w.tail_slope, w.label)
-        rules.append(w)
+    max_sel = max((a + x) + (b + x) for (a, x, b), _ in active)
+    w = inst.welfare
+    if w.j_max < max_sel:
+        w = WelfareRule(tuple(w.table(max_sel)[1:]), w.tail_slope, w.label)
 
     res = []
     block_ids: list[list[frozenset[str]]] = []
-    for vi, ((a, x, b, ell), _) in enumerate(active):
+    for vi, count in enumerate(block_counts):
         per_var = []
         for k in range(1, d_span + 1):
-            ids = [f"v{vi}k{k}n{t}" for t in range(block_counts[vi])]
-            res += [Resource(rid, rules[ell], inst.utility_rules[ell], 1.0) for rid in ids]
+            ids = [f"v{vi}k{k}n{t}" for t in range(count)]
+            res += [Resource(rid, w, inst.utility, 1.0) for rid in ids]
             per_var.append(frozenset(ids))
         block_ids.append(per_var)
 
@@ -262,7 +250,7 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     for i in range(1, n2 + 1):
         ne: set[str] = set()
         opt: set[str] = set()
-        for vi, ((a, x, b, ell), _) in enumerate(active):
+        for vi, ((a, x, b), _) in enumerate(active):
             if a + x >= 1:
                 ne |= window(i, i + a + x - 1, block_ids[vi])
             if i >= a + b + x and b + x >= 1:
@@ -280,11 +268,10 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
         "d_span": d_span,
         "scale": scale,
         "block_counts": tuple(block_counts),
-        "max_width": max(max(a + x, b + x) for (a, x, b, ell), _ in active),
+        "max_width": max(max(a + x, b + x) for (a, x, b), _ in active),
         "nash_action": nash,
         "optimal_action": optimal,
         "nash_welfare": welfare(g, nash),
         "optimal_welfare": welfare(g, optimal),
-        "tie_break": "adversarial_enumerate",
     }
     return Construction(g, meta)

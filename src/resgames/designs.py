@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -134,6 +135,8 @@ def design_pareto_setcov(chi: float | None = None, q: float | None = None,
     """
     if (chi is None) == (q is None):
         raise ValidationError("give exactly one of chi or q")
+    if j_max < 1:
+        raise ValidationError("j_max must be positive")
     if chi is None:
         if not 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP:
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")
@@ -168,6 +171,7 @@ class DesignSpec:
 
     ``c`` (and for pareto, ``chi``/``q``) may be left None to be resolved from
     the measured curvature of the welfare rule the design is applied to.
+    A field of the wrong type or an unknown family is a :class:`ValidationError`.
     """
 
     family: str  # common_interest | one_round | asymptotic | pareto
@@ -177,19 +181,27 @@ class DesignSpec:
     q: float | None = None
     label: str | None = None
 
+    def __post_init__(self):
+        if self.family not in ("common_interest", "one_round", "asymptotic", "pareto"):
+            raise ValidationError(f"unknown design family {self.family!r}")
+        for name in ("c", "chi", "q"):
+            if not (getattr(self, name) is None or isinstance(getattr(self, name), Real)):
+                raise ValidationError(f"design {name} must be a real number or null")
+        if not (isinstance(self.b, Integral) and self.b >= 1):
+            raise ValidationError("design b must be a positive integer")
+        if not (self.label is None or isinstance(self.label, str)):
+            raise ValidationError("design label must be a string or null")
+
     def name(self) -> str:
         return self.label if self.label is not None else self.family
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
-    @staticmethod
-    def from_dict(d: dict) -> "DesignSpec":
-        return DesignSpec(**d)
 
-
-def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int | None = None) -> UtilityRule:
-    """Produce the utility rule a design assigns to the welfare rule ``w``.
+def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> UtilityRule:
+    """Produce the utility rule a design assigns to the welfare rule ``w``,
+    tabulated to ``j_max`` selectors where the design needs a length.
 
     Designs are defined for rules with w(1) = 1; other rules are normalized
     first and the resulting f is scaled back so f(1) = w(1).
@@ -198,19 +210,16 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int | None = N
         spec = DesignSpec(spec)
     scale = w.values[0]
     wn = w if abs(scale - 1.0) <= 1e-15 else w.scaled(1.0 / scale)
-    jm = j_max if j_max is not None else max(wn.j_max, 8)
     if spec.family == "common_interest":
         f = design_common_interest(wn)
     elif spec.family == "one_round":
         c = spec.c if spec.c is not None else curvature(wn)
-        f = design_one_round(c, jm)
+        f = design_one_round(c, j_max)
     elif spec.family == "asymptotic":
         c = spec.c if spec.c is not None else curvature(wn)
-        f = design_asymptotic(spec.b, c, jm)
-    elif spec.family == "pareto":
-        f = design_pareto_setcov(spec.chi, spec.q, jm)
+        f = design_asymptotic(spec.b, c, j_max)
     else:
-        raise ValidationError(f"unknown design family {spec.family!r}")
+        f = design_pareto_setcov(spec.chi, spec.q, j_max)
     return f if abs(scale - 1.0) <= 1e-15 else f.scaled(scale)
 
 

@@ -96,6 +96,8 @@ def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[in
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     if schedule is None:
         return round_robin_schedule(g.n_players, k)
+    if not all(isinstance(i, Integral) for i in schedule):
+        raise ValidationError("schedule entries must be integer player indices")
     sched = tuple(int(i) for i in schedule)
     if not sched:
         raise ValidationError("schedule must be nonempty")
@@ -224,7 +226,7 @@ class _AdversarialSearch:
 
     def _reset(self) -> None:
         """Puts ``joint``, ``counts`` and their mirrors at the null allocation."""
-        null = self.g.null_action()
+        null = self.g.null_action
         self.joint = list(null)
         self.counts = selection_counts(self.g, null).tolist()
         # memoryviews: item updates and prefix bytes cost less than on the arrays
@@ -312,7 +314,7 @@ class _AdversarialSearch:
         for t, i in enumerate(self.schedule):
             acts.append(self.memo[t][self._key(t)][1])
             self._set(i, acts[-1])
-        return _walk(self.g, self.g.null_action(), self.schedule,
+        return _walk(self.g, self.g.null_action, self.schedule,
                      lambda t, i, joint, counts: acts[t])
 
 
@@ -340,7 +342,7 @@ def k_round_walk(g: Game, k: int, tie_break: str = INCUMBENT_THEN_LEX,
     every tie resolution is :func:`adversarial_min_welfare`'s.
     """
     sched = _check_schedule(g, k, schedule)
-    return _walk(g, g.null_action(), sched, _deterministic(g, tie_break))
+    return _walk(g, g.null_action, sched, _deterministic(g, tie_break))
 
 
 def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
@@ -353,7 +355,7 @@ def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
     one_round = round_robin_schedule(n, 1)
     choose = _deterministic(g, tie_break)
     all_steps: list[Step] = []
-    state = g.null_action()
+    state = g.null_action
     taken = 0
     while True:
         if taken + n > _WALK_STEP_CEILING:
@@ -362,7 +364,7 @@ def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
         taken += n
         all_steps.extend(traj.steps)
         if traj.final == state:
-            return Trajectory(g.null_action(), tuple(all_steps), traj.final)
+            return Trajectory(g.null_action, tuple(all_steps), traj.final)
         state = traj.final
 
 
@@ -374,7 +376,7 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     the attainable limit points under adversarial tie breaking.
     """
     n = g.n_players
-    start = (0, g.null_action())
+    start = (0, g.null_action)
     seen = {start}
     stack = [start]
     nash_cache: dict[JointAction, bool] = {}
@@ -451,7 +453,7 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     # threshold: the welfare reached by best-response sweeps from the empty
     # allocation, the first of which is a greedy fill.  Every move raises
     # welfare by more than slack, so the sweeps end.
-    joint = list(g.null_action())
+    joint = list(g.null_action)
     offsets = np.arange(n_res)
     moved = True
     while moved:
@@ -517,8 +519,11 @@ def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> 
     limit.  Other caps or schedules are those functions' own.
     """
     limit = k == math.inf
+    # a bad k or tie rule raises before the optimum's cost
     if not limit:
-        _check_schedule(g, k, None)  # a bad k raises before the optimum's cost
+        _check_schedule(g, k, None)
+    if tie_break != ADVERSARIAL:
+        _deterministic(g, tie_break)
     _, opt_w = optimum(g)
     if opt_w <= 0.0:
         return 1.0
@@ -535,7 +540,7 @@ def one_round_can_end_at(g: Game, target: Sequence[int]) -> bool:
     """Whether some tie resolution of a one-round walk ends exactly at ``target``."""
     target = g.validate_joint(target)
     counts = [0] * g.n_resources  # the null allocation's
-    for i, empty in enumerate(g.null_action()):
+    for i, empty in enumerate(g.null_action):
         if target[i] not in _ties(g, counts, i, empty):
             return False
         for r in g.action_resources[i][target[i]]:

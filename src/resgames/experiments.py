@@ -68,6 +68,9 @@ class ExperimentConfig:
         if not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):
             raise ValidationError("p_hit must lie in (0, 1]")
         object.__setattr__(self, "designs", tuple(self.designs))
+        names = [s.name() for s in self.designs]
+        if len(set(names)) != len(names):
+            raise ValidationError(f"design names must be unique, got {names}")
 
     def to_dict(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "designs"}
@@ -78,7 +81,7 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
             d = dict(d)
-            designs = tuple(DesignSpec.from_dict(s) for s in d.pop("designs", []))
+            designs = tuple(DesignSpec(**s) for s in d.pop("designs", []))
             return ExperimentConfig(designs=designs or _default_designs(), **d)
         except ValidationError:
             raise

@@ -29,8 +29,35 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+class _TabulatedRule:
+    """A rule r(1..j_max) tabulated in ``values``, with r(0) = 0 implicit and
+    ``_tail(k)`` the value k selectors past the table, elementwise over an
+    array k."""
+
+    @property
+    def j_max(self) -> int:
+        return len(self.values)
+
+    def eval(self, j: int) -> float:
+        if j <= 0:
+            return 0.0
+        if j <= len(self.values):
+            return self.values[j - 1]
+        return self._tail(j - len(self.values))
+
+    def table(self, n: int) -> np.ndarray:
+        """Array [r(0), r(1), ..., r(n)]."""
+        out = np.empty(n + 1)
+        out[0] = 0.0
+        m = min(n, len(self.values))
+        out[1 : m + 1] = self.values[:m]
+        if n > m:
+            out[m + 1 :] = self._tail(np.arange(1, n - m + 1))
+        return out
+
+
 @dataclass(frozen=True)
-class WelfareRule:
+class WelfareRule(_TabulatedRule):
     """Nondecreasing concave rule w(1..j_max) with a linear tail.
 
     w(0) = 0 is implicit and never stored.  Beyond the table the rule
@@ -55,33 +82,15 @@ class WelfareRule:
         _require(self.tail_slope >= -TOL, "tail slope must be nonnegative")
         _require(self.tail_slope <= last_diff + TOL, "tail slope must not exceed the last increment")
 
-    @property
-    def j_max(self) -> int:
-        return len(self.values)
-
-    def eval(self, j: int) -> float:
-        if j <= 0:
-            return 0.0
-        if j <= len(self.values):
-            return self.values[j - 1]
-        return self.values[-1] + self.tail_slope * (j - len(self.values))
-
-    def table(self, n: int) -> np.ndarray:
-        """Array [w(0), w(1), ..., w(n)]."""
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        m = min(n, len(self.values))
-        out[1 : m + 1] = self.values[:m]
-        if n > m:
-            out[m + 1 :] = self.values[-1] + self.tail_slope * np.arange(1, n - m + 1)
-        return out
+    def _tail(self, k):
+        return self.values[-1] + self.tail_slope * k
 
     def scaled(self, s: float) -> "WelfareRule":
         return WelfareRule(tuple(v * s for v in self.values), self.tail_slope * s, self.label)
 
 
 @dataclass(frozen=True)
-class UtilityRule:
+class UtilityRule(_TabulatedRule):
     """Nonnegative per-selector payoff f(1..j_max), constant ``tail_value`` beyond.
 
     f(0) = 0 is implicit.  Designed rules are nonincreasing with f(1) equal to
@@ -101,30 +110,12 @@ class UtilityRule:
         _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
         object.__setattr__(self, "tail_value", tail)
 
-    @property
-    def j_max(self) -> int:
-        return len(self.values)
-
-    def eval(self, j: int) -> float:
-        if j <= 0:
-            return 0.0
-        if j <= len(self.values):
-            return self.values[j - 1]
+    def _tail(self, k):
         return self.tail_value
 
     def is_nonincreasing(self) -> bool:
         seq = self.values + (self.tail_value,)
         return all(hi <= lo + TOL for lo, hi in zip(seq, seq[1:]))
-
-    def table(self, n: int) -> np.ndarray:
-        """Array [f(0), f(1), ..., f(n)]."""
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        m = min(n, len(self.values))
-        out[1 : m + 1] = self.values[:m]
-        if n > m:
-            out[m + 1 :] = self.tail_value
-        return out
 
     def scaled(self, s: float) -> "UtilityRule":
         return UtilityRule(tuple(v * s for v in self.values), self.tail_value * s)
@@ -139,15 +130,15 @@ def make_utility_rule(values: Sequence[float], tail_value: float | None = None) 
 
 
 def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float | None = None,
-                      p: float | None = None, values: Sequence[float] | None = None,
-                      tail_slope: float | None = None) -> WelfareRule:
+                      p: float | None = None) -> WelfareRule:
     """Construct a welfare rule from one of the supported families.
 
     bent:         w(j) = (1-C)j + C*min(j, b), requires ``curvature`` and j_max >= b
     set_covering: w(j) = 1 for j >= 1
     wta:          w(j) = 1 - (1-p)^j, requires hit probability ``p``
     harmonic:     w(j) = sum_{i<=j} 1/i
-    explicit:     caller-supplied ``values`` and ``tail_slope``
+
+    Build a :class:`WelfareRule` directly for any other rule.
     """
     _require(j_max >= 1, "j_max must be positive")
     if family == "bent":
@@ -171,10 +162,6 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
             acc += 1.0 / j
             vals.append(acc)
         return WelfareRule(tuple(vals), 1.0 / (j_max + 1), "harmonic")
-    if family == "explicit":
-        _require(values is not None, "explicit rule needs values")
-        tail = float(tail_slope) if tail_slope is not None else float(values[-1]) - (float(values[-2]) if len(values) > 1 else 0.0)
-        return WelfareRule(tuple(values), tail, "explicit")
     raise ValidationError(f"unknown welfare family {family!r}")
 
 
@@ -279,7 +266,8 @@ class Game:
         )
 
     @cached_property
-    def empty_index(self) -> tuple[int, ...]:
+    def null_action(self) -> JointAction:
+        """The joint action in which every player takes its empty action."""
         out = []
         for acts in self.actions:
             out.append(next(k for k, a in enumerate(acts) if len(a) == 0))
@@ -318,9 +306,6 @@ class Game:
     def cumulative_utility_tables(self) -> np.ndarray:
         """Array of v_r * sum_{i<=count} f_r(i), shaped like :attr:`welfare_tables`."""
         return np.cumsum(self.utility_tables, axis=1)
-
-    def null_action(self) -> JointAction:
-        return self.empty_index
 
     def validate_joint(self, a: Sequence[int]) -> JointAction:
         _require(len(a) == self.n_players, "joint action has wrong number of players")

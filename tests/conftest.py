@@ -73,7 +73,7 @@ def brute_tie_paths(g: Game, schedule, joint=None) -> float:
     """Reference adversarial minimum: the least final welfare over every
     resolution of every best-response tie along ``schedule``, from the null
     allocation, found by plain recursion."""
-    joint = g.null_action() if joint is None else joint
+    joint = g.null_action if joint is None else joint
     if not schedule:
         return welfare(g, joint)
     i = schedule[0]

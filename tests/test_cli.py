@@ -140,7 +140,8 @@ def test_invalid_game_exit_code(tmp_path, capsys, resources):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("config", [{"n_agents": 4, "bogus": 1}, {"n_agents": 2.5}, "{", None])
+@pytest.mark.parametrize("config", [{"n_agents": 4, "bogus": 1}, {"n_agents": 2.5}, "{", None,
+                                    {"n_agents": 3, "designs": [{"family": "one_round", "c": "abc"}]}])
 def test_invalid_config_exit_code(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
     if config is not None:
@@ -186,3 +187,14 @@ def test_simulate_schedule_needs_finite_k(tmp_path, capsys):
                    "--tiebreak", tiebreak])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--route", "frontier", "--jtrunc", "0", "--Q-grid", "0.55"],
+    ["analyze", "--route", "lp", "--design", "optimal"],
+    ["analyze", "--route", "closed-form", "--design", "optimal"],
+    ["design"],
+])
+def test_bad_design_request_exit_code(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

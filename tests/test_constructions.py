@@ -18,7 +18,6 @@ from resgames import (
     welfare,
 )
 from resgames.constructions import (
-    ScalingError,
     build_common_interest_chain,
     build_greedy_trap,
     build_poa_witness,
@@ -65,9 +64,7 @@ def test_two_agent_grid_matches_half_curvature():
 
 
 def test_two_agent_scaling():
-    with pytest.raises(ScalingError):
-        build_two_agent_worst_case(1.0, UtilityRule((1.0, 1 / math.pi)), denom_bound=10, exact=True)
-    con = build_two_agent_worst_case(1.0, UtilityRule((1.0, 1 / math.pi)), denom_bound=100)
+    con = build_two_agent_worst_case(1.0, UtilityRule((1.0, 1 / math.pi)))
     realized = con.meta["r3_count"] / con.meta["x"]
     assert abs(realized - 1 / math.pi) < 1e-2
 

@@ -173,6 +173,32 @@ def test_resolve_design_scales_to_rule():
     assert f_ci.values[1] == pytest.approx(w.values[1] - w.values[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"family": "optimal"},
+    {"family": None},
+    {"family": "one_round", "c": "abc"},
+    {"family": "pareto", "chi": "0.8"},
+    {"family": "pareto", "q": [0.6]},
+    {"family": "asymptotic", "b": 0},
+    {"family": "asymptotic", "b": 1.5},
+    {"family": "one_round", "label": 3},
+])
+def test_design_spec_rejects_bad_fields(kwargs):
+    with pytest.raises(ValidationError):
+        DesignSpec(**kwargs)
+
+
+def test_design_spec_accepts_numpy_numbers():
+    spec = DesignSpec("asymptotic", c=np.float64(0.5), b=np.int64(2))
+    assert spec.name() == "asymptotic"
+
+
+def test_pareto_rejects_nonpositive_jmax():
+    for j in (0, -3):
+        with pytest.raises(ValidationError):
+            design_pareto_setcov(q=0.55, j_max=j)
+
+
 def test_apply_design_replaces_rules():
     g = build_greedy_trap(0.1).game
     g2 = apply_design(g, DesignSpec("pareto", chi=1.0))

@@ -12,6 +12,7 @@ from resgames import (
     BudgetExceededError,
     EnumerationCapError,
     Game,
+    LEXICOGRAPHIC,
     Resource,
     UtilityRule,
     WelfareRule,
@@ -245,6 +246,8 @@ def test_schedule_validation(trap_ci):
         k_round_walk(trap_ci, 1, schedule=[0, 5])
     with pytest.raises(ValidationError):
         k_round_walk(trap_ci, 0)
+    # numpy integers are integer player indices
+    assert k_round_walk(trap_ci, 1, schedule=np.array([1, 0])) == k_round_walk(trap_ci, 1, schedule=[1, 0])
 
 
 def test_efficiency_adversarial_is_the_search_over_the_optimum(rng):
@@ -261,7 +264,8 @@ def _zero_welfare_game():
     return Game((Resource("a", w, UtilityRule((1.0,)), 0.0),), ((frozenset(), frozenset({"a"})),))
 
 
-@pytest.mark.parametrize("k, schedule", [(0, None), (1.5, None), (math.inf, [0, 1]), (0, [0, 1])])
+@pytest.mark.parametrize("k, schedule", [(0, None), (1.5, None), (math.inf, [0, 1]), (0, [0, 1]),
+                                         (1, [1.7, 0.2])])
 def test_every_walk_entry_point_checks_k_and_schedule(trap_ci, k, schedule):
     from resgames import ValidationError
 
@@ -293,6 +297,15 @@ def test_k_round_walk_is_deterministic_only(trap_ci):
 
     with pytest.raises(ValidationError):
         k_round_walk(trap_ci, 1, ADVERSARIAL)
+
+
+def test_efficiency_checks_the_tie_rule_before_a_zero_optimum():
+    from resgames import ValidationError
+
+    for k in (1, math.inf):
+        with pytest.raises(ValidationError):
+            efficiency(_zero_welfare_game(), k, "bogus")
+    assert efficiency(_zero_welfare_game(), 1, LEXICOGRAPHIC) == 1.0
 
 
 def test_reachable_nash_min(trap_ci):

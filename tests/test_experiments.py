@@ -133,6 +133,13 @@ def test_config_rejects_non_integer_counts_and_unknown_keys():
         ExperimentConfig.from_dict({"designs": [{"family": "one_round", "bogus": 1}]})
 
 
+def test_config_rejects_designs_with_the_same_name():
+    with pytest.raises(ValidationError):
+        ExperimentConfig(designs=(DesignSpec("one_round", c=0.0), DesignSpec("one_round", c=1.0)))
+    labelled = (DesignSpec("one_round", c=0.0), DesignSpec("one_round", c=1.0, label="one_round_c1"))
+    assert [s.name() for s in ExperimentConfig(designs=labelled).designs] == ["one_round", "one_round_c1"]
+
+
 def test_budget_guard():
     big = ExperimentConfig(n_agents=30, n_targets=31, n_instances=1)
     with pytest.raises(BudgetExceededError):

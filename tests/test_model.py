@@ -8,6 +8,7 @@ from resgames import (
     Resource,
     UtilityRule,
     ValidationError,
+    WelfareRule,
     convert_rule,
     curvature,
     make_utility_rule,
@@ -46,9 +47,9 @@ def test_harmonic_rule():
 
 def test_explicit_rule_rejects_nonconcave():
     with pytest.raises(ValidationError):
-        make_welfare_rule("explicit", 3, values=(1.0, 1.2, 1.6), tail_slope=0.1)
+        WelfareRule((1.0, 1.2, 1.6), 0.1)
     with pytest.raises(ValidationError):
-        make_welfare_rule("explicit", 2, values=(1.0, 0.5))
+        WelfareRule((1.0, 0.5), 0.0)
 
 
 def test_bent_needs_jmax_past_bend():
@@ -198,7 +199,7 @@ def test_welfare_monotone_under_adding_selection(seed):
     i = int(rng.integers(0, g.n_players))
     before = welfare(g, tuple(joint))
     base = joint[i]
-    joint[i] = g.empty_index[i]
+    joint[i] = g.null_action[i]
     dropped = welfare(g, tuple(joint))
     assert dropped <= before + 1e-12
     assert before >= -1e-12
@@ -223,7 +224,7 @@ def test_marginal_utility_equals_welfare_difference_for_ci(seed):
     joint = tuple(int(rng.integers(0, len(acts))) for acts in g.actions)
     for i in range(g.n_players):
         alone = list(joint)
-        alone[i] = g.empty_index[i]
+        alone[i] = g.null_action[i]
         assert utility_mc(g, joint, i) == pytest.approx(
             welfare(g, joint) - welfare(g, tuple(alone)), abs=1e-9
         )
