@@ -26,6 +26,9 @@ from .model import (
 )
 
 
+_WITNESS_RESOURCES = 10**6  # the rounded LP weights can call for millions
+
+
 @dataclass(frozen=True)
 class Construction:
     game: Game
@@ -208,6 +211,8 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     proportional to theta with one common D = n2 + max(a+x) - 1, which keeps
     the LP's constraint aligned with every agent's deviation margin.  Weights
     up to 1e-9 are dropped and the rest rounded to denominators up to 10**6.
+    A witness of more than ``_WITNESS_RESOURCES`` resources raises
+    :class:`ValidationError` before any is built.
     """
     if sol.status != "optimal":
         raise ValidationError("need an optimal LP solution")
@@ -225,6 +230,9 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     fracs = [Fraction(t).limit_denominator(10**6) for _, t in active]
     scale = math.lcm(*(fr.denominator for fr in fracs))
     block_counts = [int(fr * scale) for fr in fracs]
+    if sum(block_counts) * d_span > _WITNESS_RESOURCES:
+        raise ValidationError(f"the witness needs {sum(block_counts) * d_span} resources "
+                              f"(block scale {scale}), more than {_WITNESS_RESOURCES}")
     max_sel = max((a + x) + (b + x) for (a, x, b), _ in active)
     w = inst.welfare
     if w.j_max < max_sel:

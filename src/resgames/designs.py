@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import (
     Game,
-    Resource,
     UtilityRule,
     ValidationError,
     WelfareRule,
@@ -225,13 +224,14 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
 
 def apply_design(g: Game, spec: DesignSpec | str) -> Game:
     """Replace every resource's utility rule with the design's output,
-    tabulated to max(n_players, 8) selectors."""
+    tabulated to max(n_players, 8) selectors.  The new game shares ``g``'s
+    actions and welfare tables."""
     jm = max(g.n_players, 8)
     cache: dict[int, UtilityRule] = {}
-    out = []
+    rules = []
     for r in g.resources:
         key = id(r.welfare)
         if key not in cache:
             cache[key] = resolve_design(spec, r.welfare, jm)
-        out.append(Resource(r.rid, r.welfare, cache[key], r.value))
-    return Game(tuple(out), g.actions)
+        rules.append(cache[key])
+    return g._with_utilities(rules)

@@ -23,6 +23,7 @@ LEXICOGRAPHIC = "lexicographic"
 ADVERSARIAL = "adversarial"
 
 _WALK_STEP_CEILING = 10**6
+_GATHER = 1 << 16  # most (step, resource) count entries one walk gather reads
 
 
 class BudgetExceededError(RuntimeError):
@@ -109,10 +110,10 @@ def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[in
 def _ties(g: Game, counts: Sequence[int], i: int, current: int) -> list[int]:
     """Player i's best actions, ties at TOL, against ``counts`` that still
     include its ``current`` action.  ``counts`` is left unchanged."""
-    utab = g.utility_tables
+    urows = g._utility_rows
     own = g.action_resources[i][current]
     utils = [
-        sum(utab[r, counts[r] + (r not in own)] for r in res)
+        sum(urows[r][counts[r] + (r not in own)] for r in res)
         for res in g.action_resources[i]
     ]
     top = max(utils)
@@ -135,13 +136,19 @@ def is_nash(g: Game, a: Sequence[int]) -> bool:
 def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_offset: int = 0) -> Trajectory:
     """The walk from ``start`` in which ``choose(t, i, joint, counts)`` picks
     the action of ``schedule[t]``; ``joint`` and ``counts`` are the state
-    before the move and must not be changed."""
+    before the move and must not be changed.
+
+    Welfare and potential are read for a block of steps at a time, one
+    gather per table over at most ``_GATHER`` (step, resource) counts.  Each
+    row is summed as :func:`welfare` sums one state, to the same bits.
+    """
     counts = selection_counts(g, start).tolist()
     joint = list(start)
     wtab = g.welfare_tables
     cumtab = g.cumulative_utility_tables
     cols = np.arange(g.n_resources)
-    steps = []
+    rows = max(1, _GATHER // g.n_resources)
+    acts, hist, wel, pot = [], [], [], []
     for t, i in enumerate(schedule):
         choice = choose(t, i, joint, counts)
         for r in g.action_resources[i][joint[i]]:
@@ -149,13 +156,15 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_of
         joint[i] = choice
         for r in g.action_resources[i][choice]:
             counts[r] += 1
-        carr = np.asarray(counts)
-        steps.append(Step(
-            tau_offset + t + 1, i, choice,
-            float(wtab[cols, carr].sum()),
-            float(cumtab[cols, carr].sum()),
-        ))
-    return Trajectory(start, tuple(steps), tuple(joint))
+        acts.append(choice)
+        hist.append(counts.copy())
+        if len(hist) == rows or t == len(schedule) - 1:
+            block = np.array(hist, dtype=np.int64)
+            wel += wtab[cols, block].sum(axis=1).tolist()
+            pot += cumtab[cols, block].sum(axis=1).tolist()
+            hist = []
+    taus = range(tau_offset + 1, tau_offset + len(schedule) + 1)
+    return Trajectory(start, tuple(map(Step, taus, schedule, acts, wel, pot)), tuple(joint))
 
 
 def _deterministic(g: Game, tie_break: str):
@@ -291,14 +300,14 @@ class _AdversarialSearch:
         if self.explored > self.cap:
             raise EnumerationCapError(self.explored, self.cap, self.best_upper)
         g, counts = self.g, self.counts
-        wtab = g.welfare_tables
+        wrows = g._welfare_rows
         i = self.schedule[t]
         old = self.joint[i]
         best_val: float | None = None
         best_act = -1
         for a_idx in _ties(g, counts, i, old):
             self._set(i, a_idx)
-            released = sum(wtab[r, counts[r]] for r in self.finalized_after[t])
+            released = sum(wrows[r][counts[r]] for r in self.finalized_after[t])
             val = released + (yield t + 1, acc + released)
             if best_val is None or val < best_val:
                 best_val, best_act = val, a_idx

@@ -219,7 +219,9 @@ class Game:
     """Immutable game instance: resources plus per-player action sets.
 
     Every player's action list contains the empty action; it is inserted at
-    index 0 when missing so walks can start from the null allocation.
+    index 0 when missing so walks can start from the null allocation.  A
+    designed game (:meth:`_with_utilities`) shares the skeleton of the game
+    it came from: its actions, index maps, selector counts and welfare tables.
     """
 
     resources: tuple[Resource, ...]
@@ -306,6 +308,28 @@ class Game:
     def cumulative_utility_tables(self) -> np.ndarray:
         """Array of v_r * sum_{i<=count} f_r(i), shaped like :attr:`welfare_tables`."""
         return np.cumsum(self.utility_tables, axis=1)
+
+    # The tables as Python floats, for scans that read one entry at a time:
+    # float additions cost less than numpy scalar ones, to the same bits.
+    @cached_property
+    def _welfare_rows(self) -> list[list[float]]:
+        return self.welfare_tables.tolist()
+
+    @cached_property
+    def _utility_rows(self) -> list[list[float]]:
+        return self.utility_tables.tolist()
+
+    def _with_utilities(self, rules: Sequence[UtilityRule]) -> "Game":
+        """This game with resource r's utility rule replaced by ``rules[r]``.
+        Each :class:`Resource` is rebuilt, so f(1) = w(1) is checked; the ids
+        and actions, checked already, are not."""
+        g = object.__new__(Game)
+        object.__setattr__(g, "resources", tuple(
+            Resource(r.rid, r.welfare, f, r.value) for r, f in zip(self.resources, rules, strict=True)))
+        object.__setattr__(g, "actions", self.actions)
+        for name in ("rid_index", "action_resources", "null_action", "max_selectors", "welfare_tables"):
+            g.__dict__[name] = getattr(self, name)
+        return g
 
     def validate_joint(self, a: Sequence[int]) -> JointAction:
         _require(len(a) == self.n_players, "joint action has wrong number of players")

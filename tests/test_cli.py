@@ -107,6 +107,15 @@ def test_validation_exit_code():
     assert main(["construct", "--kind", "greedy_trap", "--eps", "2.0", "--out", "/tmp/x.json"]) == 2
 
 
+def test_oversized_witness_exit_code(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    argv = ["construct", "--kind", "poa_witness", "--N1", "3", "--N2", "12",
+            "--design", "asymptotic", "--C", "1.0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "resources" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cap_exit_code(tmp_path, capsys):
     game_path = tmp_path / "trap.json"
     main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])

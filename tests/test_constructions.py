@@ -1,9 +1,11 @@
 import math
+import time
 
 import pytest
 
 from resgames import (
     UtilityRule,
+    ValidationError,
     design_asymptotic,
     design_common_interest,
     design_one_round,
@@ -139,3 +141,12 @@ def test_poa_witness_mechanism():
 
     worst, _ = adversarial_min_welfare(g, 1, cap=200_000)
     assert worst <= welfare(g, ne) + 1e-9
+
+
+def test_poa_witness_refuses_past_its_resource_budget():
+    # the rounded LP weights call for 1,084,483 resources per block span
+    sol = solve_poa_lp(make_welfare_rule("set_covering", 6), design_asymptotic(1, 1.0, 8), 3)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="resources"):
+        build_poa_witness(sol, 12)
+    assert time.perf_counter() - start < 1.0

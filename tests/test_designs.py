@@ -7,12 +7,16 @@ import pytest
 from resgames import (
     CHI_MIN,
     DesignSpec,
+    ExperimentConfig,
+    Game,
+    UtilityRule,
     ValidationError,
     apply_design,
     design_asymptotic,
     design_common_interest,
     design_one_round,
     design_pareto_setcov,
+    gen_wta,
     make_welfare_rule,
     resolve_design,
 )
@@ -204,3 +208,22 @@ def test_apply_design_replaces_rules():
     g2 = apply_design(g, DesignSpec("pareto", chi=1.0))
     assert g2.resources[0].utility.values[0] == 1.0
     assert g2.actions == g.actions
+
+
+def test_designed_game_shares_the_base_skeleton():
+    cfg = ExperimentConfig()
+    base = gen_wta(cfg, 0)
+    for spec in cfg.designs:
+        g = apply_design(base, spec)
+        fresh = Game(g.resources, base.actions)
+        assert g == fresh
+        for name in ("action_resources", "null_action", "max_selectors"):
+            assert getattr(g, name) == getattr(fresh, name)
+        for name in ("welfare_tables", "utility_tables", "cumulative_utility_tables"):
+            assert getattr(g, name).tobytes() == getattr(fresh, name).tobytes()
+        assert g.welfare_tables is base.welfare_tables
+        assert g.actions is base.actions
+    # every Resource is still built, so a rule with f(1) != w(1) is refused
+    w1 = base.resources[0].welfare.values[0]
+    with pytest.raises(ValidationError):
+        base._with_utilities([UtilityRule((2.0 * w1,))] * base.n_resources)

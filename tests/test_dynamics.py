@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from resgames import (
     ADVERSARIAL,
+    INCUMBENT_THEN_LEX,
     BudgetExceededError,
     EnumerationCapError,
     Game,
@@ -459,3 +461,55 @@ def test_adversarial_values_are_python_floats():
         adversarial_min_welfare(g, 2, cap=100)
     assert type(err.value.best_upper) is float
     assert type(EnumerationCapError(1, 0, np.float64(0.5)).best_upper) is float
+
+
+def _assert_steps_score_their_states(g, traj, n_steps):
+    assert len(traj.steps) == n_steps
+    assert traj.states()[-1] == traj.final
+    for state, step in zip(traj.states()[1:], traj.steps):
+        assert step.welfare.hex() == welfare(g, state).hex()
+        assert step.potential.hex() == utility_full(g, state).hex()
+
+
+@st.composite
+def wide_games(draw) -> Game:
+    """One to four players over 1 to 5,000 resources with scattered values,
+    so each step's welfare sums many unequal terms."""
+    n = draw(st.integers(1, 4))
+    n_res = draw(st.one_of(st.integers(1, 40), st.integers(1, 5_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rules = []
+    for _ in range(3):
+        incs = np.sort(rng.random(n) + 0.01)[::-1]
+        w = WelfareRule(tuple(np.cumsum(incs)), float(incs[-1] * rng.random()))
+        f = UtilityRule((incs[0], *np.sort(rng.random(n - 1) * incs[0])[::-1]))
+        rules.append((w, f))
+    values = rng.random(n_res) * 10.0 ** rng.integers(-3, 4, n_res)
+    resources = tuple(
+        Resource(f"r{r}", *rules[r % 3], float(values[r])) for r in range(n_res)
+    )
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, n_res + 1))
+            acts.append(frozenset(f"r{r}" for r in rng.choice(n_res, size, replace=False)))
+        actions.append(tuple(acts))
+    return Game(resources, tuple(actions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_games(), st.integers(1, 3), st.sampled_from([INCUMBENT_THEN_LEX, LEXICOGRAPHIC]), st.data())
+def test_walk_gather_blocks_match_one_state_sums(g, k, tie_break, data):
+    # a gather of under nine rows splits most walks into several blocks
+    gather = data.draw(st.integers(1, 9 * g.n_resources))
+    with mock.patch.object(dynamics, "_GATHER", gather):
+        traj = k_round_walk(g, k, tie_break)
+    _assert_steps_score_their_states(g, traj, k * g.n_players)
+
+
+def test_chain_worst_walk_gathers_match_one_state_sums():
+    g = build_common_interest_chain(2000, 0.5).game
+    _, traj = adversarial_min_welfare(g, 1)
+    assert 2000 * g.n_resources > dynamics._GATHER
+    _assert_steps_score_their_states(g, traj, 2000)
