@@ -52,13 +52,16 @@ def _design_from_args(args, w, j_max):
 
 
 def grid(text):
-    """A number, or start:stop:step with a finite nonzero step toward stop."""
+    """A number, or start:stop:step with a finite nonzero step toward stop and at most 10^6 points."""
     if ":" not in text:
         return [float(text)]
     start, stop, step = (float(t) for t in text.split(":"))
     if not all(map(math.isfinite, (start, stop, step))) or step == 0 or (stop - start) * step < 0:
         raise ValueError(text)
-    n = int(round((stop - start) / step))
+    span = (stop - start) / step
+    if not span < 10**6 - 0.5:  # round(span) + 1 points; an overflow to inf fails here too
+        raise ValueError(text)
+    n = int(round(span))
     return [start + i * step for i in range(n + 1)]
 
 
@@ -164,7 +167,7 @@ def _cmd_construct(args):
     elif args.kind == "stack_or_spread":
         w = make_welfare_rule("set_covering", max(args.n, 2))
         f = _design_from_args(args, w, max(args.n, 2))
-        con = build_stack_or_spread(args.n, f, args.base_size)
+        con = build_stack_or_spread(args.n, f)
     elif args.kind == "poa_witness":
         w = _welfare_from_args(args, args.N1 + 2)
         f = _design_from_args(args, w, args.N1 + 2)
@@ -248,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--n", type=int, default=3)
     con.add_argument("--N1", type=int, default=3)
     con.add_argument("--N2", type=int, default=40)
-    con.add_argument("--base-size", dest="base_size", type=int, default=100)
     con.add_argument("--f-values", dest="f_values", type=comma_floats, default=None,
                      help="explicit comma-separated utility rule values")
     con.add_argument("--welfare", default="setcov",

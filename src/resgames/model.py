@@ -295,14 +295,19 @@ class Game:
         greedy sweep of :func:`~resgames.dynamics.optimum` read the increment
         past the last reachable count.
         """
-        n = max(self.max_selectors) + 1
-        return np.stack([r.value * r.welfare.table(n) for r in self.resources])
+        return self._value_rows([r.welfare for r in self.resources])
 
     @cached_property
     def utility_tables(self) -> np.ndarray:
         """Array of v_r * f_r(count), shaped like :attr:`welfare_tables`."""
+        return self._value_rows([r.utility for r in self.resources])
+
+    def _value_rows(self, rules: Sequence[_TabulatedRule]) -> np.ndarray:
+        """Rows v_r * rules[r].table(n), tabulating each distinct rule object once."""
         n = max(self.max_selectors) + 1
-        return np.stack([r.value * r.utility.table(n) for r in self.resources])
+        distinct = {id(rule): rule for rule in rules}
+        tables = {key: rule.table(n) for key, rule in distinct.items()}
+        return np.stack([r.value * tables[id(rule)] for r, rule in zip(self.resources, rules)])
 
     @cached_property
     def cumulative_utility_tables(self) -> np.ndarray:

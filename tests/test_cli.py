@@ -88,8 +88,7 @@ def test_construct_all_kinds(tmp_path, capsys):
     cases = [
         ["--kind", "two_agent_worst_case", "--C", "0.5", "--design", "one_round"],
         ["--kind", "ci_chain", "--n", "4", "--C", "1.0"],
-        ["--kind", "stack_or_spread", "--n", "3", "--design", "pareto", "--chi", "1.0",
-         "--base-size", "10"],
+        ["--kind", "stack_or_spread", "--n", "3", "--design", "pareto", "--chi", "1.0"],
         ["--kind", "poa_witness", "--N1", "3", "--N2", "12", "--design", "common_interest"],
     ]
     kinds = {"ci_chain": "common_interest_chain"}
@@ -107,13 +106,12 @@ def test_validation_exit_code():
     assert main(["construct", "--kind", "greedy_trap", "--eps", "2.0", "--out", "/tmp/x.json"]) == 2
 
 
-def test_oversized_witness_exit_code(tmp_path, capsys):
+def test_irregular_witness_construct(tmp_path, capsys):
     out = tmp_path / "w.json"
     argv = ["construct", "--kind", "poa_witness", "--N1", "3", "--N2", "12",
             "--design", "asymptotic", "--C", "1.0", "--out", str(out)]
-    assert main(argv) == 2
-    assert "resources" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(argv) == 0
+    assert out.exists() and out.with_suffix(".meta.json").exists()
 
 
 def test_cap_exit_code(tmp_path, capsys):
@@ -169,6 +167,7 @@ def test_invalid_config_exit_code(tmp_path, capsys, config):
     ["analyze", "--route", "bounds", "--C-grid", "0:1:-0.25"],
     ["analyze", "--route", "bounds", "--C-grid", "0:1:nan"],
     ["analyze", "--route", "bounds", "--C-grid", "0:1"],
+    ["analyze", "--route", "bounds", "--C-grid", "0:1:1e-12"],  # 10^12 points
 ])
 def test_malformed_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -66,9 +66,25 @@ def test_two_agent_grid_matches_half_curvature():
 
 
 def test_two_agent_scaling():
-    con = build_two_agent_worst_case(1.0, UtilityRule((1.0, 1 / math.pi)))
-    realized = con.meta["r3_count"] / con.meta["x"]
-    assert abs(realized - 1 / math.pi) < 1e-2
+    start = time.perf_counter()
+    con = build_two_agent_worst_case(0.5, UtilityRule((1.0, 1 / math.pi)))
+    assert con.game.n_resources == 3
+    for k in (1, 2, 3):
+        assert measured_ratio(con, k) == pytest.approx(con.meta["target_ratio"], abs=1e-12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_slightly_negative_f2_builds_a_zero_value_resource():
+    # UtilityRule accepts f(2) in [-TOL, 0); a resource value may not be negative
+    f = UtilityRule((1.0, -1e-10))
+    con = build_two_agent_worst_case(1.0, f)
+    assert [r.value for r in con.game.resources] == [1.0, 1.0, 0.0]
+    assert measured_ratio(con, 1) == pytest.approx(0.5, abs=1e-9)
+    con = build_stack_or_spread(2, f)
+    assert [r.value for r in con.game.resources] == [1.0, 1.0, 0.0]
+    assert measured_ratio(con, 1) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ValidationError):
+        build_stack_or_spread(0, f)
 
 
 def test_chain_small_and_large():
@@ -95,18 +111,21 @@ def test_chain_matches_formula_small_n_multi_round():
 
 
 def test_stack_or_spread():
-    con = build_stack_or_spread(2, make_utility_rule((1.0, 0.0)), 10)
+    con = build_stack_or_spread(2, make_utility_rule((1.0, 0.0)))
     assert measured_ratio(con, 1) == pytest.approx(0.5, abs=1e-12)
-    con = build_stack_or_spread(5, make_utility_rule((1.0,) * 5), 10)
+    con = build_stack_or_spread(5, make_utility_rule((1.0,) * 5))
     assert measured_ratio(con, 1) == pytest.approx(0.2, abs=1e-12)
-    con = build_stack_or_spread(1, make_utility_rule((1.0,)), 4)
+    con = build_stack_or_spread(1, make_utility_rule((1.0,)))
     assert measured_ratio(con, 1) == 1.0
 
 
 def test_stack_or_spread_matches_truncated_formula():
     f = design_asymptotic(1, 1.0, 8)
-    con = build_stack_or_spread(4, f, 840)  # 840 f(i) is near-integral at small i
-    assert measured_ratio(con, 1) == pytest.approx(con.meta["target_ratio"], abs=1e-9)
+    con = build_stack_or_spread(4, f)
+    assert con.game.n_resources == 5
+    ft = [f.eval(i) for i in range(1, 5)]
+    assert con.meta["target_ratio"] == 1.0 / (1.0 + sum(ft) - min(ft))
+    assert measured_ratio(con, 1) == pytest.approx(con.meta["target_ratio"], abs=1e-12)
 
 
 def test_constructions_are_normalized():
@@ -114,7 +133,7 @@ def test_constructions_are_normalized():
         build_greedy_trap(0.1),
         build_two_agent_worst_case(0.5, design_one_round(0.5)),
         build_common_interest_chain(4, 0.5),
-        build_stack_or_spread(3, make_utility_rule((1.0, 0.5, 0.25)), 8),
+        build_stack_or_spread(3, make_utility_rule((1.0, 0.5, 0.25))),
     ):
         g = con.game
         g.validate_tabulation()
@@ -143,10 +162,14 @@ def test_poa_witness_mechanism():
     assert worst <= welfare(g, ne) + 1e-9
 
 
-def test_poa_witness_refuses_past_its_resource_budget():
-    # the rounded LP weights call for 1,084,483 resources per block span
+def test_poa_witness_of_irregular_weights_is_small():
+    # integer block counts for these LP weights would need 1,084,483 unit
+    # resources per position; one weighted resource per position needs 24
     sol = solve_poa_lp(make_welfare_rule("set_covering", 6), design_asymptotic(1, 1.0, 8), 3)
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match="resources"):
-        build_poa_witness(sol, 12)
+    con = build_poa_witness(sol, 12)
+    g = con.game
+    assert g.n_resources == sum(t > 1e-9 for t in sol.theta) * con.meta["d_span"]
+    assert is_nash(g, con.meta["nash_action"])
+    assert one_round_can_end_at(g, con.meta["nash_action"])
     assert time.perf_counter() - start < 1.0

@@ -114,7 +114,7 @@ def test_optimum_examples(trap_ci):
     assert val == pytest.approx(2.1, abs=1e-12)
     con = build_two_agent_worst_case(1.0, design_one_round(1.0))
     _, val = optimum(con.game)
-    assert val == pytest.approx(2 * con.meta["x"])
+    assert val == pytest.approx(2.0)
 
 
 def test_optimum_stacking_single_resource():

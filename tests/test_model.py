@@ -250,3 +250,24 @@ def test_tables_span_reachable_counts(seed):
             assert wrow[c] == res.value * res.welfare.eval(c)
             assert urow[c] == res.value * res.utility.eval(c)
     assert g.cumulative_utility_tables.shape == g.welfare_tables.shape
+
+
+def test_tables_tabulate_each_shared_rule_once(monkeypatch):
+    w = make_welfare_rule("wta", 3, p=0.5)
+    f = make_utility_rule((0.5, 0.25, 0.125))
+    res = tuple(Resource(f"r{k}", w, f, 0.1 * (k + 1)) for k in range(5))
+    g = Game(res, tuple((frozenset(), frozenset({"r0", f"r{i + 1}"})) for i in range(3)))
+    calls = []
+    table = WelfareRule.table  # UtilityRule shares the one tabulation
+
+    def counted(self, n):
+        calls.append(type(self).__name__)
+        return table(self, n)
+
+    monkeypatch.setattr(WelfareRule, "table", counted)
+    monkeypatch.setattr(UtilityRule, "table", counted)
+    n = max(g.max_selectors) + 1
+    for tabs, rule in ((g.welfare_tables, w), (g.utility_tables, f)):
+        for r, row in zip(res, tabs):
+            assert row.tobytes() == (r.value * table(rule, n)).tobytes()
+    assert calls == ["WelfareRule", "UtilityRule"]
