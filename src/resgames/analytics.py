@@ -163,20 +163,13 @@ def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
     """The n-agent price-of-anarchy LP of the welfare rule w under the utility rule f."""
     if n < 1:
         raise ValidationError("n must be positive")
-    variables = []
-    obj, nash, norm = [], [], []
     wt = w.table(n)
     ft = f.table(n + 1)
-    for a in range(n + 1):
-        for x in range(n + 1 - a):
-            for b in range(n + 1 - a - x):
-                if a + x + b < 1:
-                    continue
-                variables.append((a, x, b))
-                obj.append(wt[b + x])
-                nash.append(a * ft[a + x] - b * ft[a + x + 1])
-                norm.append(wt[a + x])
-    return LPInstance(n, tuple(variables), np.array(obj), np.array(nash), np.array(norm), w, f)
+    a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # lexicographic (a, x, b)
+    keep = (a + x + b >= 1) & (a + x + b <= n)
+    a, x, b = a[keep], x[keep], b[keep]
+    variables = tuple(zip(a.tolist(), x.tolist(), b.tolist()))
+    return LPInstance(n, variables, wt[b + x], a * ft[a + x] - b * ft[a + x + 1], wt[a + x], w, f)
 
 
 def solve_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPSolution:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 from typing import Callable
 
@@ -62,6 +63,15 @@ def _decay_tail(j: np.ndarray, b: float, coef: Callable[[np.ndarray], np.ndarray
             return total
         if m > 5000:
             raise RuntimeError("tail series failed to converge")
+
+
+@lru_cache(maxsize=4)
+def _unit_tail(j_max: int) -> np.ndarray:
+    """Read-only sum_{t>=j} (j-1)!/t! for j = 1..j_max, the chi-free series of
+    :func:`design_pareto_setcov`, so a frontier sweep sums it once per length."""
+    tail = _decay_tail(np.arange(1, j_max + 1, dtype=np.float64), 1.0, np.ones_like)
+    tail.flags.writeable = False
+    return tail
 
 
 def design_common_interest(w: WelfareRule) -> UtilityRule:
@@ -118,7 +128,7 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
         vals = np.concatenate([np.asarray(head[:j_max]), tail])[:j_max]
         vals = np.maximum(vals, 0.0)
     vals[0] = 1.0
-    return make_utility_rule(tuple(vals), float(vals[-1]))
+    return make_utility_rule(vals, float(vals[-1]))
 
 
 def design_pareto_setcov(chi: float | None = None, q: float | None = None,
@@ -146,9 +156,7 @@ def design_pareto_setcov(chi: float | None = None, q: float | None = None,
     delta = 1.0 - chi * E_MINUS_1
     if abs(delta) <= _SNAP:
         delta = 0.0
-    j = np.arange(1, j_max + 1, dtype=np.float64)
-    tail = _decay_tail(j, 1.0, lambda t: np.ones_like(t))
-    vals = chi * tail
+    vals = chi * _unit_tail(j_max)
     if delta != 0.0:
         # delta < 0: the factorial term drags the rule to its zero floor.
         fact = 1.0
@@ -161,7 +169,7 @@ def design_pareto_setcov(chi: float | None = None, q: float | None = None,
                 break
             vals[idx] = v
     vals[0] = 1.0
-    return make_utility_rule(tuple(vals), float(vals[-1]))
+    return make_utility_rule(vals, float(vals[-1]))
 
 
 @dataclass(frozen=True)
@@ -198,12 +206,15 @@ class DesignSpec:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
+@lru_cache(maxsize=32)
 def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> UtilityRule:
     """Produce the utility rule a design assigns to the welfare rule ``w``,
     tabulated to ``j_max`` selectors where the design needs a length.
 
     Designs are defined for rules with w(1) = 1; other rules are normalized
-    first and the resulting f is scaled back so f(1) = w(1).
+    first and the resulting f is scaled back so f(1) = w(1).  Calls with
+    equal arguments share one immutable result, so the instances of an
+    experiment build and check each designed rule once.
     """
     if isinstance(spec, str):
         spec = DesignSpec(spec)

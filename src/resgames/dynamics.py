@@ -139,30 +139,39 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_of
     before the move and must not be changed.
 
     Welfare and potential are read for a block of steps at a time, one
-    gather per table over at most ``_GATHER`` (step, resource) counts.  Each
+    gather per table over at most ``_GATHER`` (step, resource) counts.  A
+    block is its start counts plus the running sum of the moves recorded in
+    it, as flat (step in block, resource) positions left and entered.  Each
     row is summed as :func:`welfare` sums one state, to the same bits.
     """
     counts = selection_counts(g, start).tolist()
     joint = list(start)
     wtab = g.welfare_tables
     cumtab = g.cumulative_utility_tables
-    cols = np.arange(g.n_resources)
-    rows = max(1, _GATHER // g.n_resources)
-    acts, hist, wel, pot = [], [], [], []
+    n_res = g.n_resources
+    cols = np.arange(n_res)
+    rows = max(1, _GATHER // n_res)
+    base = np.array(counts, dtype=np.int64)
+    acts, left, entered, wel, pot = [], [], [], [], []
     for t, i in enumerate(schedule):
         choice = choose(t, i, joint, counts)
+        pos = t % rows * n_res
         for r in g.action_resources[i][joint[i]]:
             counts[r] -= 1
+            left.append(pos + r)
         joint[i] = choice
         for r in g.action_resources[i][choice]:
             counts[r] += 1
+            entered.append(pos + r)
         acts.append(choice)
-        hist.append(counts.copy())
-        if len(hist) == rows or t == len(schedule) - 1:
-            block = np.array(hist, dtype=np.int64)
+        if t % rows == rows - 1 or t == len(schedule) - 1:
+            moves = np.bincount(entered, minlength=pos + n_res)
+            moves -= np.bincount(left, minlength=pos + n_res)
+            block = moves.reshape(-1, n_res).cumsum(axis=0)
+            block += base
             wel += wtab[cols, block].sum(axis=1).tolist()
             pot += cumtab[cols, block].sum(axis=1).tolist()
-            hist = []
+            base, left, entered = block[-1].copy(), [], []  # a view would keep the block alive
     taus = range(tau_offset + 1, tau_offset + len(schedule) + 1)
     return Trajectory(start, tuple(map(Step, taus, schedule, acts, wel, pot)), tuple(joint))
 
@@ -334,10 +343,13 @@ def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
 
     The walk runs ``k`` round-robin rounds unless ``schedule`` gives its step
     sequence; ``k`` must still be a positive integer.  More than ``cap``
-    searched states raise :class:`EnumerationCapError`.
+    searched states raise :class:`EnumerationCapError`.  The value is the
+    trajectory's final welfare, summed as :func:`welfare` sums a state.
     """
     search = _AdversarialSearch(g, _check_schedule(g, k, schedule), cap)
-    return float(search.run()), search.reconstruct()
+    search.run()
+    traj = search.reconstruct()
+    return traj.final_welfare, traj
 
 
 def k_round_walk(g: Game, k: int, tie_break: str = INCUMBENT_THEN_LEX,

@@ -41,7 +41,7 @@ def game_to_dict(g: Game) -> dict:
 
 def _welfare_from_dict(d: dict) -> WelfareRule:
     if "values" in d and d["values"]:
-        return WelfareRule(tuple(d["values"]), d.get("tail_slope", 0.0), d.get("family", "explicit"))
+        return WelfareRule(d["values"], d.get("tail_slope", 0.0), d.get("family", "explicit"))
     params = dict(d.get("params", {}))
     j_max = int(params.pop("j_max", 64))
     return make_welfare_rule(d["family"], j_max, **params)
@@ -54,7 +54,7 @@ def game_from_dict(d: dict) -> Game:
             Resource(
                 rd["id"],
                 _welfare_from_dict(rd["welfare"]),
-                UtilityRule(tuple(rd["utility"]["values"]), rd["utility"].get("tail_value")),
+                UtilityRule(rd["utility"]["values"], rd["utility"].get("tail_value")),
                 rd.get("value", 1.0),
             )
             for rd in d["resources"]

@@ -32,7 +32,20 @@ def _require(cond: bool, msg: str) -> None:
 class _TabulatedRule:
     """A rule r(1..j_max) tabulated in ``values``, with r(0) = 0 implicit and
     ``_tail(k)`` the value k selectors past the table, elementwise over an
-    array k."""
+    array k.  ``_array`` holds ``values`` as a read-only float64 array; it is
+    not a dataclass field, so equality and hashing see ``values`` alone."""
+
+    def _set_values(self) -> np.ndarray:
+        """Converts ``values`` once, to the private array and a tuple of floats."""
+        try:
+            arr = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"rule values must be numbers: {exc}") from exc
+        _require(arr.ndim == 1, "rule values must be a flat sequence of numbers")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "values", tuple(arr.tolist()))
+        return arr
 
     @property
     def j_max(self) -> int:
@@ -50,7 +63,7 @@ class _TabulatedRule:
         out = np.empty(n + 1)
         out[0] = 0.0
         m = min(n, len(self.values))
-        out[1 : m + 1] = self.values[:m]
+        out[1 : m + 1] = self._array[:m]
         if n > m:
             out[m + 1 :] = self._tail(np.arange(1, n - m + 1))
         return out
@@ -69,24 +82,25 @@ class WelfareRule(_TabulatedRule):
     label: str = "explicit"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        w = self._set_values()
         object.__setattr__(self, "tail_slope", float(self.tail_slope))
-        _require(len(self.values) >= 1, "welfare rule needs at least w(1)")
-        _require(all(v > 0.0 for v in self.values), "welfare values must be strictly positive")
-        last_diff = self.values[0]  # w(1) - w(0)
-        for lo, hi in zip(self.values, self.values[1:]):
-            d = hi - lo
-            _require(d >= -TOL, f"welfare rule {self.label!r} must be nondecreasing")
-            _require(d <= last_diff + TOL, f"welfare rule {self.label!r} must have concave increments")
-            last_diff = d
+        _require(len(w) >= 1, "welfare rule needs at least w(1)")
+        _require(w.min() > 0.0, "welfare values must be strictly positive")  # a nan fails too
+        _require(w.max() < math.inf, "welfare values must be finite")
+        inc = np.concatenate((w[:1], w[1:] - w[:-1]))  # w(j) - w(j-1) for j = 1..j_max
+        rises = inc[1:] >= -TOL
+        fine = rises & (inc[1:] <= inc[:-1] + TOL)
+        if not fine.all():  # the first failing increment names the check, nondecreasing first
+            what = "have concave increments" if rises[fine.argmin()] else "be nondecreasing"
+            raise ValidationError(f"welfare rule {self.label!r} must {what}")
         _require(self.tail_slope >= -TOL, "tail slope must be nonnegative")
-        _require(self.tail_slope <= last_diff + TOL, "tail slope must not exceed the last increment")
+        _require(self.tail_slope <= inc[-1] + TOL, "tail slope must not exceed the last increment")
 
     def _tail(self, k):
         return self.values[-1] + self.tail_slope * k
 
     def scaled(self, s: float) -> "WelfareRule":
-        return WelfareRule(tuple(v * s for v in self.values), self.tail_slope * s, self.label)
+        return WelfareRule(self._array * s, self.tail_slope * s, self.label)
 
 
 @dataclass(frozen=True)
@@ -103,9 +117,9 @@ class UtilityRule(_TabulatedRule):
     tail_value: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _require(len(self.values) >= 1, "utility rule needs at least f(1)")
-        _require(all(-TOL <= v < math.inf for v in self.values), "utility values must be finite and nonnegative")
+        f = self._set_values()
+        _require(len(f) >= 1, "utility rule needs at least f(1)")
+        _require(f.min() >= -TOL and f.max() < math.inf, "utility values must be finite and nonnegative")
         tail = self.values[-1] if self.tail_value is None else float(self.tail_value)
         _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
         object.__setattr__(self, "tail_value", tail)
@@ -114,17 +128,17 @@ class UtilityRule(_TabulatedRule):
         return self.tail_value
 
     def is_nonincreasing(self) -> bool:
-        seq = self.values + (self.tail_value,)
-        return all(hi <= lo + TOL for lo, hi in zip(seq, seq[1:]))
+        f = self._array
+        return bool((f[1:] <= f[:-1] + TOL).all() and self.tail_value <= f[-1] + TOL)
 
     def scaled(self, s: float) -> "UtilityRule":
-        return UtilityRule(tuple(v * s for v in self.values), self.tail_value * s)
+        return UtilityRule(self._array * s, self.tail_value * s)
 
 
 def make_utility_rule(values: Sequence[float], tail_value: float | None = None) -> UtilityRule:
     """Build a utility rule and enforce the nonincreasing invariant; build a
     :class:`UtilityRule` directly for a non-monotone one."""
-    rule = UtilityRule(tuple(values), tail_value)
+    rule = UtilityRule(values, tail_value)
     _require(rule.is_nonincreasing(), "utility rule must be nonincreasing")
     return rule
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, welfare
+from resgames.model import TOL, _require
 
 
 def random_game(rng: np.random.Generator, max_players=4, max_actions=4, max_resources=6) -> Game:
@@ -81,6 +82,59 @@ def brute_tie_paths(g: Game, schedule, joint=None) -> float:
         brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
         for b in best_responses(g, joint, i)
     )
+
+
+def loop_welfare_check(values, tail_slope, label="explicit") -> tuple[float, ...]:
+    """Reference check of a welfare rule, one element at a time: the float
+    values it accepts, or the :class:`ValidationError` it raises."""
+    values = tuple(float(v) for v in values)
+    tail_slope = float(tail_slope)
+    _require(len(values) >= 1, "welfare rule needs at least w(1)")
+    _require(all(v > 0.0 for v in values), "welfare values must be strictly positive")
+    last_diff = values[0]  # w(1) - w(0)
+    for lo, hi in zip(values, values[1:]):
+        d = hi - lo
+        _require(d >= -TOL, f"welfare rule {label!r} must be nondecreasing")
+        _require(d <= last_diff + TOL, f"welfare rule {label!r} must have concave increments")
+        last_diff = d
+    _require(tail_slope >= -TOL, "tail slope must be nonnegative")
+    _require(tail_slope <= last_diff + TOL, "tail slope must not exceed the last increment")
+    return values
+
+
+def loop_utility_check(values, tail_value=None) -> tuple[tuple[float, ...], float]:
+    """Reference check of a utility rule, one element at a time: the float
+    values and tail it accepts, or the :class:`ValidationError` it raises."""
+    values = tuple(float(v) for v in values)
+    _require(len(values) >= 1, "utility rule needs at least f(1)")
+    _require(all(-TOL <= v < math.inf for v in values), "utility values must be finite and nonnegative")
+    tail = values[-1] if tail_value is None else float(tail_value)
+    _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
+    return values, tail
+
+
+def loop_is_nonincreasing(values: tuple[float, ...], tail_value: float) -> bool:
+    seq = values + (tail_value,)
+    return all(hi <= lo + TOL for lo, hi in zip(seq, seq[1:]))
+
+
+def loop_poa_lp(w: WelfareRule, f: UtilityRule, n: int):
+    """Reference price-of-anarchy LP rows, built one (a, x, b) at a time:
+    (variables, objective, nash_row, norm_row)."""
+    variables = []
+    obj, nash, norm = [], [], []
+    wt = w.table(n)
+    ft = f.table(n + 1)
+    for a in range(n + 1):
+        for x in range(n + 1 - a):
+            for b in range(n + 1 - a - x):
+                if a + x + b < 1:
+                    continue
+                variables.append((a, x, b))
+                obj.append(wt[b + x])
+                nash.append(a * ft[a + x] - b * ft[a + x + 1])
+                norm.append(wt[a + x])
+    return tuple(variables), np.array(obj), np.array(nash), np.array(norm)
 
 
 @pytest.fixture

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resgames import (
     CHI_MIN,
+    UtilityRule,
     ValidationError,
+    build_poa_lp,
     design_asymptotic,
     design_common_interest,
     design_one_round,
@@ -20,6 +24,8 @@ from resgames import (
     solve_poa_lp,
     theory_bounds,
 )
+
+from conftest import loop_poa_lp
 
 E = math.e
 
@@ -167,3 +173,19 @@ def test_theory_bounds_values():
     assert theory_bounds(0.5, "infinity", "common_interest") == pytest.approx(1 / 1.5)
     with pytest.raises(ValidationError):
         theory_bounds(1.5, "one", "optimal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 15), st.sampled_from(["set_covering", "harmonic", "wta"]),
+       st.lists(st.floats(0, 1), min_size=1, max_size=18), st.floats(0, 1))
+def test_poa_lp_arrays_match_the_loop_oracle(n, family, raw, tail_frac):
+    w = make_welfare_rule(family, 16, p=0.4) if family == "wta" else make_welfare_rule(family, 16)
+    vals = sorted(raw, reverse=True)
+    f = UtilityRule(vals, vals[-1] * tail_frac)
+    inst = build_poa_lp(w, f, n)
+    variables, objective, nash_row, norm_row = loop_poa_lp(w, f, n)
+    assert inst.variables == variables
+    assert all(type(v) is int for var in inst.variables for v in var)
+    for got, want in ((inst.objective, objective), (inst.nash_row, nash_row), (inst.norm_row, norm_row)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -134,6 +134,7 @@ def test_budget_exit_code(tmp_path):
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0], "tail_value": float("inf")}}],
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0, float("inf")]}}],
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [1.0]}, "value": "abc"}],
+    [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [[1.0, 0.5]]}}],
     '{"resources": [',  # a string is the file's whole text: invalid JSON
     None,  # no file at all
 ])

@@ -16,10 +16,12 @@ from resgames import (
     design_common_interest,
     design_one_round,
     design_pareto_setcov,
+    frontier_setcov,
     gen_wta,
     make_welfare_rule,
     resolve_design,
 )
+from resgames import designs
 from resgames.constructions import build_greedy_trap
 
 E = math.e
@@ -197,10 +199,46 @@ def test_design_spec_accepts_numpy_numbers():
     assert spec.name() == "asymptotic"
 
 
+def test_pareto_tail_is_summed_once_per_length_to_the_same_bits(monkeypatch):
+    j_max = 10**5
+    qs = (0.5, 0.55, 0.6, 1 - 1 / E)
+    designs._unit_tail.cache_clear()
+    calls = []
+    decay = designs._decay_tail
+    monkeypatch.setattr(designs, "_decay_tail", lambda *args: calls.append(args[1]) or decay(*args))
+    cached = [(frontier_setcov(q, j_max).one_round, design_pareto_setcov(q=q, j_max=j_max)) for q in qs]
+    assert calls == [1.0]
+    for q, (point, f) in zip(qs, cached):
+        designs._unit_tail.cache_clear()
+        assert frontier_setcov(q, j_max).one_round.hex() == point.hex()
+        fresh = design_pareto_setcov(q=q, j_max=j_max)
+        assert fresh.table(j_max + 1).tobytes() == f.table(j_max + 1).tobytes()
+    tail = designs._unit_tail(j_max)
+    assert not tail.flags.writeable
+    with pytest.raises(ValueError):
+        tail[0] = 0.0
+    f1, f2 = design_pareto_setcov(q=0.55, j_max=j_max), design_pareto_setcov(q=0.6, j_max=j_max)
+    assert f1.values != f2.values
+    assert not np.shares_memory(f1._array, f2._array)
+    assert not any(np.shares_memory(f._array, tail) for f in (f1, f2))
+
+
 def test_pareto_rejects_nonpositive_jmax():
     for j in (0, -3):
         with pytest.raises(ValidationError):
             design_pareto_setcov(q=0.55, j_max=j)
+
+
+def test_equal_design_requests_share_one_rule():
+    cfg = ExperimentConfig()
+    first, second = gen_wta(cfg, 0), gen_wta(cfg, 1)
+    for spec in cfg.designs:
+        g1, g2 = apply_design(first, spec), apply_design(second, spec)
+        assert g1.resources[0].utility is g2.resources[0].utility
+        resolve_design.cache_clear()
+        fresh = apply_design(second, spec)
+        assert fresh.resources[0].utility is not g2.resources[0].utility
+        assert fresh.utility_tables.tobytes() == g2.utility_tables.tobytes()
 
 
 def test_apply_design_replaces_rules():

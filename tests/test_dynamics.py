@@ -13,6 +13,7 @@ from resgames import (
     INCUMBENT_THEN_LEX,
     BudgetExceededError,
     EnumerationCapError,
+    ExperimentConfig,
     Game,
     LEXICOGRAPHIC,
     Resource,
@@ -23,6 +24,7 @@ from resgames import (
     best_responses,
     design_one_round,
     efficiency,
+    gen_wta,
     is_nash,
     k_round_walk,
     make_welfare_rule,
@@ -408,6 +410,19 @@ def test_adversarial_matches_brute_tie_paths(case):
         assert step.action in best_responses(g, state, step.player)
     assert abs(traj.final_welfare - val) <= tol
     assert abs(welfare(g, traj.final) - val) <= tol
+
+
+def test_adversarial_value_is_its_trajectory_welfare():
+    # the search's own running sum adds resources in the order it finalises
+    # them, which on these games lands one ulp away from the state's welfare
+    cfg = ExperimentConfig()
+    for idx in range(20):
+        base = gen_wta(cfg, idx)
+        for spec in cfg.designs:
+            g = apply_design(base, spec)
+            val, traj = adversarial_min_welfare(g, 1)
+            assert val.hex() == traj.final_welfare.hex() == welfare(g, traj.final).hex()
+            assert val <= k_round_walk(g, 1).final_welfare
 
 
 def test_adversarial_search_depth_ignores_recursion_limit():

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,9 @@ from resgames import (
     welfare,
 )
 from resgames.constructions import build_greedy_trap
+from resgames.model import TOL
 
-from conftest import random_game
+from conftest import loop_is_nonincreasing, loop_utility_check, loop_welfare_check, random_game
 
 
 def test_bent_rule_values():
@@ -234,6 +238,117 @@ def test_utility_rule_rejects_non_finite():
     for values, tail in (((1.0, float("inf")), None), ((1.0,), float("inf")), ((1.0, float("nan")), 0.0)):
         with pytest.raises(ValidationError):
             UtilityRule(values, tail)
+
+
+def test_welfare_rule_rejects_non_finite():
+    # a one-entry infinite table has no increment to fail, so only the finite check stops it
+    for values in ((math.inf,), (1.0, math.inf), (math.nan,)):
+        with pytest.raises(ValidationError):
+            WelfareRule(values, 0.0)
+
+
+@pytest.mark.parametrize("build", [UtilityRule, lambda v: WelfareRule(v, 0.0)], ids=["utility", "welfare"])
+@pytest.mark.parametrize("values", [[[1.0, 2.0]], [None], [[1.0], [1.0, 2.0]], ["abc"], 1.0],
+                         ids=["nested", "none", "ragged", "text", "scalar"])
+def test_rule_values_must_be_a_flat_sequence_of_numbers(build, values):
+    with pytest.raises(ValidationError):
+        build(values)
+
+
+def test_rule_array_is_private_and_read_only():
+    w = WelfareRule([1.0, 1.5], 0.5)
+    f = UtilityRule(np.array([1.0, 0.5]))
+    assert w == WelfareRule((1.0, 1.5), 0.5) and hash(w) == hash(WelfareRule((1.0, 1.5), 0.5))
+    assert f == UtilityRule((1.0, 0.5)) and hash(f) == hash(UtilityRule((1.0, 0.5)))
+    for rule in (w, f):
+        assert "_array" not in {fl.name for fl in fields(rule)}
+        assert type(rule.values) is tuple and all(type(v) is float for v in rule.values)
+        with pytest.raises(ValueError):
+            rule._array[0] = 2.0
+        assert rule.table(3).flags.writeable
+
+
+# Nudges that straddle TOL, so each check is drawn on both of its sides.
+BUMPS = st.sampled_from([0.0, 0.5 * TOL, -0.5 * TOL, 0.999 * TOL, -0.999 * TOL,
+                         1.001 * TOL, -1.001 * TOL, 2 * TOL, -2 * TOL, 0.25, -0.25])
+
+
+def _outcome(build):
+    """What ``build`` returns, or the message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _hexes(vals) -> list[str]:
+    assert all(type(v) is float for v in vals)
+    return [v.hex() for v in vals]
+
+
+@st.composite
+def welfare_inputs(draw):
+    """Concave nondecreasing tables and tails with up to two nudges, or raw lists."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-2, 2), max_size=6)), draw(st.floats(-1, 2))
+    n = draw(st.integers(1, 8))
+    incs = sorted(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)), reverse=True)
+    values = np.cumsum(incs).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, n - 1))] += draw(BUMPS)
+    return values, incs[-1] * draw(st.floats(0, 1)) + draw(BUMPS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(welfare_inputs(), st.sampled_from(["explicit", "drawn"]))
+def test_welfare_rule_checks_match_the_loop_oracle(case, label):
+    values, tail = case
+    want = _outcome(lambda: loop_welfare_check(values, tail, label))
+    got = _outcome(lambda: WelfareRule(values, tail, label))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert _hexes(got.values) == _hexes(want)
+    n = len(want)
+    tab = got.table(n + 2).tolist()
+    assert _hexes(tab) == _hexes([0.0, *want, want[-1] + got.tail_slope, want[-1] + got.tail_slope * 2])
+    scaled = _outcome(lambda: got.scaled(0.3))
+    want_scaled = _outcome(lambda: loop_welfare_check([v * 0.3 for v in want], got.tail_slope * 0.3, label))
+    assert scaled == want_scaled if isinstance(want_scaled, str) else _hexes(scaled.values) == _hexes(want_scaled)
+
+
+@st.composite
+def utility_inputs(draw):
+    """Nonincreasing tables and tails with up to two nudges, or raw lists."""
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-1, 2), max_size=6))
+        return values, draw(st.none() | st.floats(-1, 2))
+    n = draw(st.integers(1, 8))
+    values = sorted(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)), reverse=True)
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, n - 1))] += draw(BUMPS)
+    tail = draw(st.none() | st.floats(0, 1).map(lambda u: u * values[-1]))
+    return values, tail if tail is None else tail + draw(BUMPS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(utility_inputs())
+def test_utility_rule_checks_match_the_loop_oracle(case):
+    values, tail = case
+    want = _outcome(lambda: loop_utility_check(values, tail))
+    got = _outcome(lambda: UtilityRule(values, tail))
+    if isinstance(want, str):
+        assert got == want
+        return
+    want_values, want_tail = want
+    assert _hexes(got.values) == _hexes(want_values)
+    assert got.tail_value.hex() == want_tail.hex()
+    n = len(want_values)
+    assert _hexes(got.table(n + 2).tolist()) == _hexes([0.0, *want_values, want_tail, want_tail])
+    monotone = loop_is_nonincreasing(want_values, want_tail)
+    assert got.is_nonincreasing() is monotone
+    made = _outcome(lambda: make_utility_rule(values, tail))
+    assert made == got if monotone else made == "ValidationError: utility rule must be nonincreasing"
 
 
 @settings(max_examples=30, deadline=None)
