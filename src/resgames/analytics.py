@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import TOL, UtilityRule, ValidationError, WelfareRule, curvature
-from .designs import design_pareto_setcov
+from .designs import pareto_setcov_values
 
 E = math.e
 
@@ -65,7 +66,11 @@ def one_round_setcov(f: UtilityRule, j_trunc: int) -> float:
     """
     if j_trunc < 1:
         raise ValidationError("j_trunc must be positive")
-    ft = f.table(j_trunc)[1:]
+    return _setcov_one_round(f.table(j_trunc)[1:])
+
+
+def _setcov_one_round(ft: np.ndarray) -> float:
+    """[sum ft - min ft + 1]^-1 of the values ft = f(1..j_trunc)."""
     return float(1.0 / (ft.sum() - ft.min() + 1.0))
 
 
@@ -136,23 +141,30 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
 class LPInstance:
     """Price-of-anarchy LP in standard form.
 
-    Variables are indexed by (a, x, b) with integers a, x, b >= 0,
-    1 <= a+x+b <= n.  Maximize objective . theta subject to
-    nash_row . theta >= 0, norm_row . theta = 1, theta >= 0.
+    Column j is the variable (a[j], x[j], b[j]) with integers a, x, b >= 0,
+    1 <= a+x+b <= n, in lexicographic order.  Maximize objective . theta
+    subject to nash_row . theta >= 0, norm_row . theta = 1, theta >= 0.
     """
 
     n: int
-    variables: tuple[tuple[int, int, int], ...]
+    a: np.ndarray
+    x: np.ndarray
+    b: np.ndarray
     objective: np.ndarray
     nash_row: np.ndarray
     norm_row: np.ndarray
     welfare: WelfareRule
     utility: UtilityRule
 
+    @cached_property
+    def variables(self) -> tuple[tuple[int, int, int], ...]:
+        """The (a, x, b) of every column as int triples, built on first read."""
+        return tuple(zip(self.a.tolist(), self.x.tolist(), self.b.tolist()))
+
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded | error
+    status: str  # optimal | unbounded
     q: float
     theta: np.ndarray
     residuals: dict
@@ -168,36 +180,79 @@ def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
     a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # lexicographic (a, x, b)
     keep = (a + x + b >= 1) & (a + x + b <= n)
     a, x, b = a[keep], x[keep], b[keep]
-    variables = tuple(zip(a.tolist(), x.tolist(), b.tolist()))
-    return LPInstance(n, variables, wt[b + x], a * ft[a + x] - b * ft[a + x + 1], wt[a + x], w, f)
+    return LPInstance(n, a, x, b, wt[b + x], a * ft[a + x] - b * ft[a + x + 1], wt[a + x], w, f)
+
+
+def _optimal_pair(c: np.ndarray, h: np.ndarray, d: np.ndarray, m: int, lam: float) -> tuple[int, int]:
+    """Columns (p, m), h[p] >= 0 > h[m], of an optimal basis of
+    max c.theta s.t. h.theta >= 0, d.theta = 1, theta >= 0, where h < 0
+    wherever d = 0, from lam = lam_min and its column m with d = 0.
+
+    In the dual, column j is the line (c_j + lam h_j) / d_j, or for d_j = 0 the
+    bound lam >= c_j / -h_j, and Q is the least height of their upper envelope
+    at some lam >= lam_min.  While the highest falling line at lam lies above
+    every rising one there, move lam right to where that falling line first
+    meets a rising line; lam only grows, and each falling line is taken once.
+    """
+    rise = np.flatnonzero(h >= 0.0)
+    fall = np.flatnonzero((h < 0.0) & (d > 0.0))
+    cr, hr, dr = c[rise], h[rise], d[rise]
+    cf, hf, df = c[fall], h[fall], d[fall]
+    p = rise[np.argmax((cr + lam * hr) / dr)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while len(fall):
+            top = (cf + lam * hf) / df
+            k = int(np.argmax(top))
+            if top[k] <= (c[p] + lam * h[p]) / d[p]:
+                break
+            m = fall[k]
+            den = hr * d[m] - h[m] * dr
+            cross = np.where(den > 0.0, (c[m] * dr - cr * d[m]) / den, np.inf)
+            j = int(np.argmin(cross))
+            p = rise[j]
+            if not cross[j] > lam:  # no room left to move in floating point
+                break
+            lam = float(cross[j])
+    return int(p), int(m)
 
 
 def solve_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPSolution:
-    """Solve the n-agent price-of-anarchy LP of w under f to a basic optimal
-    solution; an optimum whose residuals exceed 1e-8 raises RuntimeError."""
-    # Deferred: scipy.optimize would dominate `import resgames`, and only LP solves need it.
-    from scipy.optimize import linprog
+    """Solve the n-agent price-of-anarchy LP of w under f exactly, to a basic
+    optimal solution with at most two nonzero columns.
 
+    With c the objective, h the Nash row and d the normalisation row, LP
+    duality gives Q = min over lam >= lam_min of max_j (c_j + lam h_j) / d_j
+    over the columns with d_j > 0; the columns (0, 0, b), where d = 0, give
+    lam_min = max_b w(b) / (b f(1)).  The status is "unbounded" when
+    f(1) <= TOL.  An optimum whose residuals exceed 1e-8, or whose dual value
+    at the basis's lam differs from q by more than 1e-12 max(1, q), raises
+    RuntimeError.
+    """
     inst = build_poa_lp(w, f, n)
-    res = linprog(
-        -inst.objective,
-        A_ub=-inst.nash_row[None, :],
-        b_ub=[0.0],
-        A_eq=inst.norm_row[None, :],
-        b_eq=[1.0],
-        bounds=(0.0, None),
-        method="highs-ds",
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-    theta = res.x if res.x is not None else np.zeros(len(inst.variables))
+    c, h, d = inst.objective, inst.nash_row, inst.norm_row
+    theta = np.zeros(len(c))
+    if f.eval(1) <= TOL:
+        status, q, gap = "unbounded", math.nan, 0.0
+    else:
+        vert = np.flatnonzero(d == 0.0)
+        bound = c[vert] / -h[vert]
+        p, m = _optimal_pair(c, h, d, int(vert[np.argmax(bound)]), float(bound.max()))
+        den = h[p] * d[m] - h[m] * d[p]
+        theta[p] = -h[m] / den
+        theta[m] = h[p] / den
+        status, q = "optimal", float(c @ theta)
+        lam = max((c[m] * d[p] - c[p] * d[m]) / den, bound.max())
+        pos = d > 0.0
+        gap = abs(float(((c[pos] + lam * h[pos]) / d[pos]).max()) - q)
     residuals = {
-        "equality": abs(float(inst.norm_row @ theta) - 1.0),
-        "inequality": max(0.0, -float(inst.nash_row @ theta)),
-        "nonnegativity": max(0.0, -float(theta.min())) if len(theta) else 0.0,
+        "equality": abs(float(d @ theta) - 1.0),
+        "inequality": max(0.0, -float(h @ theta)),
+        "nonnegativity": max(0.0, -float(theta.min())),
     }
-    q = -float(res.fun) if status == "optimal" else math.nan
     if status == "optimal" and max(residuals.values()) > 1e-8:
         raise RuntimeError(f"LP solution exceeds feasibility tolerance: {residuals}")
+    if gap > 1e-12 * max(1.0, q):
+        raise RuntimeError(f"LP duality gap {gap!r} at q = {q!r}")
     return LPSolution(status, q, theta, residuals, inst)
 
 
@@ -211,9 +266,8 @@ def poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> float:
 
 def frontier_setcov(q: float, j_trunc: int) -> FrontierPoint:
     """Best one-round efficiency among set-covering rules whose limit-point
-    efficiency is q, evaluated by tabulating the equalized-increment rule."""
-    f = design_pareto_setcov(q=q, j_max=j_trunc)
-    return FrontierPoint(q, one_round_setcov(f, j_trunc))
+    efficiency is q, scored on the equalized-increment rule's values."""
+    return FrontierPoint(q, _setcov_one_round(pareto_setcov_values(q=q, j_max=j_trunc)))
 
 
 def _norm_rounds(k) -> float:

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
+    TOL,
     Game,
     UtilityRule,
     ValidationError,
@@ -133,7 +134,16 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
 
 def design_pareto_setcov(chi: float | None = None, q: float | None = None,
                          j_max: int = 64) -> UtilityRule:
-    """Set-covering rule with equalized increments j f(j) - f(j+1) = chi.
+    """Set-covering rule with equalized increments j f(j) - f(j+1) = chi,
+    tabulated by :func:`pareto_setcov_values`."""
+    vals = pareto_setcov_values(chi, q, j_max)
+    return UtilityRule(vals, float(vals[-1]))
+
+
+def pareto_setcov_values(chi: float | None = None, q: float | None = None,
+                         j_max: int = 64) -> np.ndarray:
+    """f(1..j_max) of the set-covering rule with equalized increments
+    j f(j) - f(j+1) = chi, checked finite, nonnegative and nonincreasing.
 
     Defined by f(1) = 1, f(j+1) = max(j f(j) - chi, 0); its limit-point
     efficiency is 1/(1+chi) = q.  Tabulated via the split
@@ -169,7 +179,11 @@ def design_pareto_setcov(chi: float | None = None, q: float | None = None,
                 break
             vals[idx] = v
     vals[0] = 1.0
-    return make_utility_rule(vals, float(vals[-1]))
+    if not (np.isfinite(vals).all() and vals.min() >= -TOL):
+        raise ValidationError("utility values must be finite and nonnegative")
+    if not (vals[1:] <= vals[:-1] + TOL).all():
+        raise ValidationError("utility rule must be nonincreasing")
+    return vals
 
 
 @dataclass(frozen=True)

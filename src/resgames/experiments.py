@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -16,7 +17,7 @@ import numpy as np
 
 from .designs import DesignSpec, apply_design, design_common_interest
 from .dynamics import k_round_walk, optimum
-from .model import Game, Resource, ValidationError, make_welfare_rule
+from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, make_welfare_rule
 
 
 class Row(NamedTuple):
@@ -96,6 +97,13 @@ class ExperimentResult:
     summary: list[SummaryRow]
 
 
+@lru_cache(maxsize=8)
+def _wta_rules(n_agents: int, p_hit: float) -> tuple[WelfareRule, UtilityRule]:
+    """The immutable (w, f) pair every instance of a configuration shares."""
+    w = make_welfare_rule("wta", n_agents, p=p_hit)
+    return w, design_common_interest(w)
+
+
 def gen_wta(cfg: ExperimentConfig, instance_index: int) -> Game:
     """Deterministic instance: normalized uniform target values, circular windows.
 
@@ -105,8 +113,7 @@ def gen_wta(cfg: ExperimentConfig, instance_index: int) -> Game:
     rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, instance_index]))
     values = rng.random(cfg.n_targets)
     values = values / values.sum()
-    w = make_welfare_rule("wta", cfg.n_agents, p=cfg.p_hit)
-    f = design_common_interest(w)
+    w, f = _wta_rules(cfg.n_agents, cfg.p_hit)
     res = tuple(
         Resource(f"t{t}", w, f, float(values[t])) for t in range(cfg.n_targets)
     )

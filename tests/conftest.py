@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, welfare
+from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, build_poa_lp, welfare
+from resgames.analytics import LPSolution
 from resgames.model import TOL, _require
 
 
@@ -135,6 +136,46 @@ def loop_poa_lp(w: WelfareRule, f: UtilityRule, n: int):
                 nash.append(a * ft[a + x] - b * ft[a + x + 1])
                 norm.append(wt[a + x])
     return tuple(variables), np.array(obj), np.array(nash), np.array(norm)
+
+
+def highs_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> tuple[LPSolution, float]:
+    """Reference solve of the n-agent price-of-anarchy LP by HiGHS's dual
+    simplex, to a basic optimal solution; an optimum whose residuals exceed
+    1e-8 raises RuntimeError.
+
+    Also returns the upper bound on the optimum that HiGHS's dual certifies
+    (nan unless optimal).  HiGHS stops within its 1e-7 feasibility
+    tolerances, so its q can sit below the optimum (a dual slightly
+    infeasible, bound > q) or above it (a Nash row violated by up to about
+    1e-10, bound < q) by more than rounding."""
+    from scipy.optimize import linprog
+
+    inst = build_poa_lp(w, f, n)
+    res = linprog(
+        -inst.objective,
+        A_ub=-inst.nash_row[None, :],
+        b_ub=[0.0],
+        A_eq=inst.norm_row[None, :],
+        b_eq=[1.0],
+        bounds=(0.0, None),
+        method="highs-ds",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+    theta = res.x if res.x is not None else np.zeros(len(inst.variables))
+    residuals = {
+        "equality": abs(float(inst.norm_row @ theta) - 1.0),
+        "inequality": max(0.0, -float(inst.nash_row @ theta)),
+        "nonnegativity": max(0.0, -float(theta.min())) if len(theta) else 0.0,
+    }
+    q = -float(res.fun) if status == "optimal" else math.nan
+    if status == "optimal" and max(residuals.values()) > 1e-8:
+        raise RuntimeError(f"LP solution exceeds feasibility tolerance: {residuals}")
+    bound = math.nan
+    if status == "optimal":  # any lam >= max_b w(b) / (b f(1)) is dual feasible
+        c, h, d = inst.objective, inst.nash_row, inst.norm_row
+        lam = max(-float(res.ineqlin.marginals[0]), float((c[d == 0] / -h[d == 0]).max()))
+        bound = float(((c[d > 0] + lam * h[d > 0]) / d[d > 0]).max())
+    return LPSolution(status, q, theta, residuals, inst), bound
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from resgames import (
     theory_bounds,
 )
 
-from conftest import loop_poa_lp
+from conftest import highs_poa_lp, loop_poa_lp
 
 E = math.e
 
@@ -156,6 +156,14 @@ def test_frontier_matches_definition():
     assert pt.one_round == pytest.approx(one_round_setcov(f, 5000), abs=1e-15)
 
 
+def test_frontier_is_bit_identical_to_scoring_the_designed_rule():
+    grid = [0.5 + 0.005 * i for i in range(27)] + [1 - 1 / E]
+    for q in grid:
+        got = frontier_setcov(q, 10**5).one_round
+        want = one_round_setcov(design_pareto_setcov(q=q, j_max=10**5), 10**5)
+        assert got.hex() == want.hex(), q
+
+
 def test_frontier_nonincreasing_in_q():
     grid = np.arange(0.5, 1 - 1 / E + 1e-9, 0.01)
     vals = [frontier_setcov(float(q), 2000).one_round for q in grid]
@@ -189,3 +197,39 @@ def test_poa_lp_arrays_match_the_loop_oracle(n, family, raw, tail_frac):
     for got, want in ((inst.objective, objective), (inst.nash_row, nash_row), (inst.norm_row, norm_row)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_poa_lp_matches_the_highs_oracle_on_the_sweep_rules():
+    wsc = make_welfare_rule("set_covering", 60)
+    for f in (design_common_interest(wsc), design_asymptotic(1, 1.0, 60)):
+        for n in range(1, 41):
+            sol = solve_poa_lp(wsc, f, n)
+            ref, _ = highs_poa_lp(wsc, f, n)
+            assert sol.status == ref.status == "optimal"
+            assert abs(sol.q - ref.q) <= 1e-12 * ref.q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 15), st.sampled_from(["set_covering", "harmonic", "wta", "bent"]),
+       st.lists(st.floats(0, 1), min_size=1, max_size=18), st.floats(0, 1),
+       st.sampled_from([None, 0.0, 1e-10, -5e-10]))
+def test_poa_lp_matches_the_highs_oracle(n, family, raw, tail_frac, first):
+    # under a bent w the dual optimum often lies right of lam_min; under the others rarely
+    kw = {"wta": {"p": 0.4}, "bent": {"b": 2, "curvature": 0.5}}.get(family, {})
+    w = make_welfare_rule(family, 16, **kw)
+    vals = sorted(raw, reverse=True)
+    if first is not None:
+        vals[0] = first
+    f = UtilityRule(vals, vals[-1] * tail_frac)
+    sol = solve_poa_lp(w, f, n)
+    ref, bound = highs_poa_lp(w, f, n)
+    assert sol.status == ref.status
+    if sol.status == "optimal":
+        # HiGHS's dual bounds the optimum from above; its q bounds it from below only
+        # when its solution is feasible, which its 1e-7 tolerances do not ensure
+        assert sol.q <= bound * (1 + 1e-12)
+        if max(ref.residuals.values()) <= 1e-12:
+            assert sol.q >= ref.q * (1 - 1e-12)
+        assert sol.theta.min() >= 0.0 and np.count_nonzero(sol.theta) <= 2
+        assert max(sol.residuals.values()) <= 1e-12
+        assert sol.instance.objective @ sol.theta == sol.q

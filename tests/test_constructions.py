@@ -9,6 +9,7 @@ from resgames import (
     design_asymptotic,
     design_common_interest,
     design_one_round,
+    design_pareto_setcov,
     efficiency,
     is_nash,
     make_utility_rule,
@@ -160,6 +161,24 @@ def test_poa_witness_mechanism():
 
     worst, _ = adversarial_min_welfare(g, 1, cap=200_000)
     assert worst <= welfare(g, ne) + 1e-9
+
+
+@pytest.mark.parametrize("n1", [3, 4, 5, 6])
+@pytest.mark.parametrize("design", ["common_interest", "asymptotic", "pareto"])
+def test_poa_witness_of_the_exact_lp_basis(design, n1):
+    # the basis may differ from the one a simplex solver picks where the LP
+    # has several optima; the witness must realise whichever one it gets
+    w = make_welfare_rule("set_covering", 8)
+    f = {"common_interest": design_common_interest(w), "asymptotic": design_asymptotic(1, 1.0, 8),
+         "pareto": design_pareto_setcov(chi=0.8, j_max=8)}[design]
+    sol = solve_poa_lp(w, f, n1)
+    con = build_poa_witness(sol, 24)
+    g = con.game
+    ne = con.meta["nash_action"]
+    assert is_nash(g, ne)
+    assert one_round_can_end_at(g, ne)
+    ratio = welfare(g, ne) / welfare(g, con.meta["optimal_action"])
+    assert abs(ratio - con.meta["poa"]) <= 5 * con.meta["max_width"] / 24
 
 
 def test_poa_witness_of_irregular_weights_is_small():

@@ -55,6 +55,14 @@ def test_gen_wta_windows_are_consecutive():
             assert spans
 
 
+def test_gen_wta_instances_share_one_rule_pair():
+    a, b = gen_wta(SMALL, 0), gen_wta(SMALL, 1)
+    rules = {(id(r.welfare), id(r.utility)) for g in (a, b) for r in g.resources}
+    assert len(rules) == 1
+    other = gen_wta(ExperimentConfig(n_agents=5, n_targets=8, p_hit=0.3), 0)
+    assert other.resources[0].welfare != a.resources[0].welfare
+
+
 def test_gen_wta_tabulated_for_all_agents():
     gen_wta(SMALL, 0).validate_tabulation()
 

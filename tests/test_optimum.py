@@ -72,7 +72,12 @@ def test_import_and_experiment_leave_scipy_optimize_unloaded():
     code = (
         "import sys, resgames\n"
         "resgames.run_experiment(resgames.ExperimentConfig(n_agents=4, n_targets=6, n_instances=2))\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "w = resgames.make_welfare_rule('set_covering', 8)\n"
+        "f = resgames.design_common_interest(w)\n"
+        "assert abs(resgames.poa_lp(w, f, 8) - 0.5) < 1e-12\n"
+        "resgames.build_poa_witness(resgames.solve_poa_lp(w, f, 3), 12)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, f'scipy modules were imported: {loaded}'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
