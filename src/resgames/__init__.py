@@ -8,11 +8,9 @@ from .model import (
     UtilityRule,
     ValidationError,
     WelfareRule,
-    convert_rule,
     curvature,
     make_utility_rule,
     make_welfare_rule,
-    normalize,
     selection_counts,
     utility_full,
     utility_mc,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TOL, UtilityRule, ValidationError, WelfareRule, curvature
+from .model import TOL, UtilityRule, ValidationError, WelfareRule, curvature, make_welfare_rule
 from .designs import pareto_setcov_values
 
 E = math.e
@@ -79,22 +79,17 @@ def _check_setcov(w: WelfareRule) -> None:
         raise ValidationError("rule is not the set-covering welfare rule")
 
 
-def _check_bent(w: WelfareRule) -> tuple[int, float]:
-    """Recover (b, c) of a unit-scaled bent rule, or raise."""
+def _check_bent(w: WelfareRule) -> None:
+    """Raise unless w is the unit-scaled bent rule of its leading unit increments and curvature."""
     if abs(w.values[0] - 1.0) > TOL:
         raise ValidationError("bent closed form expects w(1) = 1")
-    c = curvature(w)
-    b = 1
     tab = w.table(w.j_max)
-    for j in range(1, w.j_max):
-        if abs(tab[j + 1] - tab[j] - 1.0) <= TOL:
-            b = j + 1
-        else:
-            break
-    for j in range(1, w.j_max + 1):
-        if abs(tab[j] - ((1.0 - c) * j + c * min(j, b))) > 1e-9:
-            raise ValidationError("rule is not a bent welfare rule")
-    return b, c
+    b = 1
+    while b < w.j_max and abs(tab[b + 1] - tab[b] - 1.0) <= TOL:
+        b += 1
+    bent = make_welfare_rule("bent", w.j_max, b=b, curvature=min(max(curvature(w), 0.0), 1.0))
+    if np.abs(tab - bent.table(w.j_max)).max() > 1e-9:
+        raise ValidationError("rule is not a bent welfare rule")
 
 
 def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
@@ -122,18 +117,14 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         if not f.is_nonincreasing() or abs(f.values[0] - 1.0) > TOL:
             raise ValidationError("bent closed form needs a nonincreasing f with f(1) = 1")
         jm = j_max if j_max is not None else 200
+        if jm < 1:
+            raise ValidationError("j_max must be positive")
         wt = w.table(jm)
         ft = f.table(jm + 1)
-        best = -np.inf
-        best_interior = -np.inf
-        for j in range(1, jm + 1):
-            l = np.arange(1, j + 1)
-            m = float(((wt[l] + j * ft[j] - l * ft[j + 1]) / wt[j]).max())
-            if m > best:
-                best = m
-            if j < jm and m > best_interior:
-                best_interior = m
-        return BoundResult(1.0 / best, best > best_interior + 1e-12)
+        m = [float(((wt[1 : j + 1] + j * ft[j] - np.arange(1, j + 1) * ft[j + 1]) / wt[j]).max())
+             for j in range(1, jm + 1)]  # m[j-1]: the max over l at j
+        best = max(m)
+        return BoundResult(1.0 / best, best > max(m[:-1], default=-np.inf) + 1e-12)
     raise ValidationError(f"unknown closed-form family {family!r}")
 
 

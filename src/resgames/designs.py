@@ -16,12 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .model import (
-    TOL,
     Game,
     UtilityRule,
     ValidationError,
     WelfareRule,
-    convert_rule,
+    _check_utility_values,
     curvature,
     make_utility_rule,
 )
@@ -77,8 +76,7 @@ def _unit_tail(j_max: int) -> np.ndarray:
 
 def design_common_interest(w: WelfareRule) -> UtilityRule:
     """Marginal form of the shared-objective design: f(j) = w(j) - w(j-1)."""
-    vals = convert_rule("to_marginal", w.values)
-    return make_utility_rule(vals, w.tail_slope)
+    return make_utility_rule(np.diff(w.table(w.j_max)), w.tail_slope)
 
 
 def design_one_round(c: float, j_max: int = 8) -> UtilityRule:
@@ -148,9 +146,9 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
     Defined by f(1) = 1, f(j+1) = max(j f(j) - chi, 0); its limit-point
     efficiency is 1/(1+chi) = q.  Tabulated via the split
         f(j) = (j-1)! (1 - chi (e-1)) + chi (j-1)! sum_{t>=j} 1/t!
-    with the second term as a stable product series.  A first factor within
-    1e-12 of zero is snapped to exactly zero so the factorial cannot amplify
-    the rounding of chi at the 1/(e-1) endpoint.
+    with the second term as a stable product series.  The argument given is
+    range-checked on its own scale to 1e-12; a first factor above -1e-12 is
+    then rounding at 1/(e-1), snapped to zero so the factorial cannot grow it.
     """
     if (chi is None) == (q is None):
         raise ValidationError("give exactly one of chi or q")
@@ -160,11 +158,11 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
         if not 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP:
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")
         chi = (1.0 - q) / q
-    chi = float(chi)
-    if chi < CHI_MIN - _SNAP:
+    elif float(chi) < CHI_MIN - _SNAP:
         raise ValidationError(f"chi must be at least 1/(e-1) ~ {CHI_MIN:.6f}")
+    chi = float(chi)
     delta = 1.0 - chi * E_MINUS_1
-    if abs(delta) <= _SNAP:
+    if delta > -_SNAP:
         delta = 0.0
     vals = chi * _unit_tail(j_max)
     if delta != 0.0:
@@ -179,10 +177,7 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
                 break
             vals[idx] = v
     vals[0] = 1.0
-    if not (np.isfinite(vals).all() and vals.min() >= -TOL):
-        raise ValidationError("utility values must be finite and nonnegative")
-    if not (vals[1:] <= vals[:-1] + TOL).all():
-        raise ValidationError("utility rule must be nonincreasing")
+    _check_utility_values(vals, vals[-1], nonincreasing=True)
     return vals
 
 
@@ -234,13 +229,12 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
         spec = DesignSpec(spec)
     scale = w.values[0]
     wn = w if abs(scale - 1.0) <= 1e-15 else w.scaled(1.0 / scale)
+    c = spec.c if spec.c is not None else curvature(wn)
     if spec.family == "common_interest":
         f = design_common_interest(wn)
     elif spec.family == "one_round":
-        c = spec.c if spec.c is not None else curvature(wn)
         f = design_one_round(c, j_max)
     elif spec.family == "asymptotic":
-        c = spec.c if spec.c is not None else curvature(wn)
         f = design_asymptotic(spec.b, c, j_max)
     else:
         f = design_pareto_setcov(spec.chi, spec.q, j_max)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from pathlib import Path
 
 from .dynamics import Trajectory
@@ -49,12 +50,20 @@ def _welfare_from_dict(d: dict) -> WelfareRule:
 
 def game_from_dict(d: dict) -> Game:
     """The game a :func:`game_to_dict` description gives, or a :class:`ValidationError`."""
+    built = {}
+
+    def rule(make, *args):  # one rule object per distinct description: equal pickles, equal descriptions
+        key = (make, pickle.dumps(args))
+        if key not in built:
+            built[key] = make(*args)
+        return built[key]
+
     try:
         resources = tuple(
             Resource(
                 rd["id"],
-                _welfare_from_dict(rd["welfare"]),
-                UtilityRule(rd["utility"]["values"], rd["utility"].get("tail_value")),
+                rule(_welfare_from_dict, rd["welfare"]),
+                rule(UtilityRule, rd["utility"]["values"], rd["utility"].get("tail_value")),
                 rd.get("value", 1.0),
             )
             for rd in d["resources"]
@@ -65,7 +74,7 @@ def game_from_dict(d: dict) -> Game:
         return Game(resources, actions)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed game description: {exc}") from exc
 
 

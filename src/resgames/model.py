@@ -119,27 +119,36 @@ class UtilityRule(_TabulatedRule):
     def __post_init__(self):
         f = self._set_values()
         _require(len(f) >= 1, "utility rule needs at least f(1)")
-        _require(f.min() >= -TOL and f.max() < math.inf, "utility values must be finite and nonnegative")
         tail = self.values[-1] if self.tail_value is None else float(self.tail_value)
-        _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
+        _check_utility_values(f, tail)
         object.__setattr__(self, "tail_value", tail)
 
     def _tail(self, k):
         return self.tail_value
 
     def is_nonincreasing(self) -> bool:
-        f = self._array
-        return bool((f[1:] <= f[:-1] + TOL).all() and self.tail_value <= f[-1] + TOL)
+        return _nonincreasing(self._array, self.tail_value)
 
     def scaled(self, s: float) -> "UtilityRule":
         return UtilityRule(self._array * s, self.tail_value * s)
+
+
+def _nonincreasing(f: np.ndarray, tail: float) -> bool:
+    return bool((f[1:] <= f[:-1] + TOL).all() and tail <= f[-1] + TOL)
+
+
+def _check_utility_values(f: np.ndarray, tail: float, nonincreasing: bool = False) -> None:
+    """Raise unless f(1..j_max) and the tail are finite and nonnegative and, if asked, nonincreasing."""
+    _require(f.min() >= -TOL and f.max() < math.inf, "utility values must be finite and nonnegative")
+    _require(-TOL <= tail < math.inf, "tail value must be finite and nonnegative")
+    _require(not nonincreasing or _nonincreasing(f, tail), "utility rule must be nonincreasing")
 
 
 def make_utility_rule(values: Sequence[float], tail_value: float | None = None) -> UtilityRule:
     """Build a utility rule and enforce the nonincreasing invariant; build a
     :class:`UtilityRule` directly for a non-monotone one."""
     rule = UtilityRule(values, tail_value)
-    _require(rule.is_nonincreasing(), "utility rule must be nonincreasing")
+    _check_utility_values(rule._array, rule.tail_value, nonincreasing=True)
     return rule
 
 
@@ -182,35 +191,6 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
 def curvature(w: WelfareRule) -> float:
     """Degree of submodularity: 1 - tail_slope / w(1); 0 is linear, 1 is maximal."""
     return 1.0 - w.tail_slope / w.values[0]
-
-
-def convert_rule(direction: str, values: Sequence[float]) -> tuple[float, ...]:
-    """Convert between marginal (f) and cumulative payoff tabulations.
-
-    ``to_marginal``:  f(j) = g(j) - g(j-1) of a concave nondecreasing input.
-    ``to_cumulative``: g(j) = sum_{i<=j} f(i) of a nonincreasing nonnegative input.
-    The round trip is the identity.
-    """
-    vals = [float(v) for v in values]
-    _require(len(vals) >= 1, "need at least one tabulated value")
-    if direction == "to_marginal":
-        out = [vals[0]]
-        for lo, hi in zip(vals, vals[1:]):
-            out.append(hi - lo)
-        for lo, hi in zip(out, out[1:]):
-            _require(hi <= lo + TOL, "input must be concave: marginals came out increasing")
-        _require(all(v >= -TOL for v in out), "input must be nondecreasing")
-        return tuple(out)
-    if direction == "to_cumulative":
-        for lo, hi in zip(vals, vals[1:]):
-            _require(hi <= lo + TOL, "input must be nonincreasing")
-        _require(all(v >= -TOL for v in vals), "input must be nonnegative")
-        out, acc = [], 0.0
-        for v in vals:
-            acc += v
-            out.append(acc)
-        return tuple(out)
-    raise ValidationError(f"unknown conversion {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -397,18 +377,3 @@ def utility_full(g: Game, a: Sequence[int]) -> float:
     counts = selection_counts(g, a)
     tabs = g.cumulative_utility_tables
     return float(tabs[np.arange(g.n_resources), counts].sum())
-
-
-def normalize(g: Game) -> Game:
-    """Rescale every resource so w(1) = 1, folding the old w(1) into its value.
-
-    Welfare of every joint action is unchanged.
-    """
-    out = []
-    for r in g.resources:
-        s = r.welfare.values[0]
-        if abs(s - 1.0) <= 1e-15:
-            out.append(r)
-        else:
-            out.append(Resource(r.rid, r.welfare.scaled(1.0 / s), r.utility.scaled(1.0 / s), r.value * s))
-    return Game(tuple(out), g.actions)

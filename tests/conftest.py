@@ -1,9 +1,10 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, build_poa_lp, welfare
+from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, build_poa_lp, utility_mc, welfare
 from resgames.analytics import LPSolution
 from resgames.model import TOL, _require
 
@@ -83,6 +84,31 @@ def brute_tie_paths(g: Game, schedule, joint=None) -> float:
         brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
         for b in best_responses(g, joint, i)
     )
+
+
+def bfs_reachable_nash(g: Game) -> tuple[float, set[tuple[int, ...]]]:
+    """Reference limit route: breadth-first search over (mover, joint) from
+    (0, null allocation).  The mover may take any action whose utility_mc is
+    within TOL of its best; a joint is Nash when every player's action is
+    such an argmax.  Returns the least welfare over the reachable Nash joints,
+    and those joints."""
+    def argmaxes(joint, i):
+        utils = [utility_mc(g, joint[:i] + (b,) + joint[i + 1:], i) for b in range(len(g.actions[i]))]
+        top = max(utils)
+        return [b for b, u in enumerate(utils) if top - u <= TOL]
+
+    start = (0, g.null_action)
+    seen, queue, nash = {start}, deque([start]), set()
+    while queue:
+        pos, joint = queue.popleft()
+        if all(joint[i] in argmaxes(joint, i) for i in range(g.n_players)):
+            nash.add(joint)
+        for b in argmaxes(joint, pos):
+            state = ((pos + 1) % g.n_players, joint[:pos] + (b,) + joint[pos + 1:])
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return min(welfare(g, a) for a in nash), nash
 
 
 def loop_welfare_check(values, tail_slope, label="explicit") -> tuple[float, ...]:

@@ -9,6 +9,7 @@ from resgames import (
     CHI_MIN,
     UtilityRule,
     ValidationError,
+    WelfareRule,
     build_poa_lp,
     design_asymptotic,
     design_common_interest,
@@ -24,6 +25,8 @@ from resgames import (
     solve_poa_lp,
     theory_bounds,
 )
+
+from resgames.analytics import _check_bent
 
 from conftest import highs_poa_lp, loop_poa_lp
 
@@ -91,6 +94,26 @@ def test_poa_closed_form_bent():
     assert res.value == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValidationError):
         poa_closed_form(w, make_utility_rule((1.0, 0.0)), "setcov", n=5)
+    for j_max in (0, -1):
+        with pytest.raises(ValidationError, match="j_max must be positive"):
+            poa_closed_form(w, design_one_round(0.5, 61), "bent", j_max=j_max)
+
+
+def test_check_bent_accepts_exactly_the_bent_rules():
+    for b in range(1, 5):
+        for c in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for j_max in {b, b + 1, 8, 60}:
+                _check_bent(make_welfare_rule("bent", j_max, b=b, curvature=c))
+    # tail slopes a rounding away from 0 and from w(1): curvature lands just past 1 and 0
+    _check_bent(WelfareRule((1.0, 1.0), -1e-12))
+    _check_bent(WelfareRule((1.0, 2.0), 1.0 + 1e-12))
+    wta = make_welfare_rule("wta", 8, p=0.4)
+    for w, msg in ((wta.scaled(1.0 / wta.values[0]), "rule is not a bent welfare rule"),
+                   (make_welfare_rule("harmonic", 8), "rule is not a bent welfare rule"),
+                   (make_welfare_rule("bent", 8, b=2, curvature=0.5).scaled(2.0),
+                    r"bent closed form expects w\(1\) = 1")):
+        with pytest.raises(ValidationError, match=msg):
+            _check_bent(w)
 
 
 def test_poa_closed_form_pareto_equalization():

@@ -137,6 +137,7 @@ def test_budget_exit_code(tmp_path):
     [{"id": "a", "welfare": {"values": [1.0]}, "utility": {"values": [[1.0, 0.5]]}}],
     '{"resources": [',  # a string is the file's whole text: invalid JSON
     None,  # no file at all
+    [{"id": "a", "welfare": "set_covering", "utility": {"values": [1.0]}}],
 ])
 def test_invalid_game_exit_code(tmp_path, capsys, resources):
     game_path = tmp_path / "game.json"
@@ -203,6 +204,8 @@ def test_simulate_schedule_needs_finite_k(tmp_path, capsys):
     ["analyze", "--route", "lp", "--design", "optimal"],
     ["analyze", "--route", "closed-form", "--design", "optimal"],
     ["design"],
+    ["analyze", "--route", "closed-form", "--welfare", "bent", "--C", "0.5", "--jmax", "0"],
+    ["analyze", "--route", "closed-form", "--welfare", "bent", "--C", "0.5", "--jmax", "-1"],
 ])
 def test_bad_design_request_exit_code(capsys, argv):
     assert main(argv) == 2

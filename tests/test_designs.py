@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -23,6 +25,8 @@ from resgames import (
 )
 from resgames import designs
 from resgames.constructions import build_greedy_trap
+
+from conftest import random_game
 
 E = math.e
 
@@ -221,6 +225,47 @@ def test_pareto_tail_is_summed_once_per_length_to_the_same_bits(monkeypatch):
     assert f1.values != f2.values
     assert not np.shares_memory(f1._array, f2._array)
     assert not any(np.shares_memory(f._array, tail) for f in (f1, f2))
+
+
+def test_pareto_endpoint_has_one_tolerance():
+    # chi and q are each checked on their own scale; past that, rounding at
+    # the 1/(e-1) endpoint must not let the factorial term make the rule rise
+    for j_max in (5, 64, 1000):
+        ref = designs.pareto_setcov_values(chi=CHI_MIN, j_max=j_max)
+        near = [{"chi": float(c)} for c in np.linspace(CHI_MIN - 1e-12, CHI_MIN, 41)]
+        near += [{"q": float(q)} for q in np.linspace(1 - 1 / E, 1 - 1 / E + 1e-12, 41)]
+        for kw in near:
+            f = design_pareto_setcov(j_max=j_max, **kw)
+            assert f.is_nonincreasing()
+            assert np.all(np.abs(np.array(f.values) - ref) <= 1e-11 * ref)
+    with pytest.raises(ValidationError, match="^chi"):
+        design_pareto_setcov(chi=CHI_MIN - 2e-12)
+    for q in (1 - 1 / E + 2e-12, 0.5 - 2e-12):
+        with pytest.raises(ValidationError, match="^q"):
+            design_pareto_setcov(q=q)
+
+
+def test_frontier_on_the_benchmark_grid_is_pinned_to_the_bit():
+    # the benchmark's q grid for seed 0, which ends at 1 - 1/e
+    frac = random.Random(0).random()
+    qs = [0.5] + [q for q in (0.5 + (frac + i) * 0.005 for i in range(30)) if 0.5 < q < 1 - 1 / E] + [1 - 1 / E]
+    hexes = " ".join(frontier_setcov(q, 10**5).one_round.hex() for q in qs)
+    assert len(qs) == 28
+    assert hashlib.sha256(hexes.encode()).hexdigest() == (
+        "4c69a1114381ebeaabca270f86b8957b6de4cc9195b15201b9c47c6667e568e5")
+
+
+def test_common_interest_is_the_welfare_increments_to_the_bit():
+    rules = [make_welfare_rule(family, n, **kw) for n in (2, 3, 8, 10, 40, 60) for family, kw in (
+        ("wta", {"p": 0.5}), ("wta", {"p": 0.3}), ("harmonic", {}), ("set_covering", {}),
+        ("bent", {"b": 2, "curvature": 0.5}), ("bent", {"b": 1, "curvature": 0.7}))]
+    rules += [r.welfare for seed in range(300) for r in random_game(np.random.default_rng(seed)).resources]
+    assert len(rules) == 1175
+    for w in rules:
+        f = design_common_interest(w)
+        want = [hi - lo for lo, hi in zip((0.0,) + w.values, w.values)]
+        assert [v.hex() for v in f.values] == [v.hex() for v in want]
+        assert f.tail_value.hex() == w.tail_slope.hex()
 
 
 def test_pareto_rejects_nonpositive_jmax():

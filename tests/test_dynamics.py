@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from resgames import (
     ADVERSARIAL,
@@ -44,7 +44,7 @@ from resgames.constructions import (
     build_two_agent_worst_case,
 )
 
-from conftest import brute_tie_paths, random_game
+from conftest import bfs_reachable_nash, brute_tie_paths, random_game
 
 
 @pytest.fixture
@@ -357,17 +357,17 @@ LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
 
 @st.composite
-def tie_games(draw) -> Game:
+def tie_games(draw, levels=LEVELS) -> Game:
     """Two to four players, one to three resources, and two or three
     actions per player, plus the empty action when none was drawn."""
     n = draw(st.integers(2, 4))
     rids = [f"r{r}" for r in range(draw(st.integers(1, 3)))]
     resources = []
     for rid in rids:
-        incs = sorted(draw(st.lists(LEVELS, min_size=n, max_size=n)), reverse=True)
+        incs = sorted(draw(st.lists(levels, min_size=n, max_size=n)), reverse=True)
         incs[0] = 1.0
         w = WelfareRule(tuple(itertools.accumulate(incs)), 0.0)
-        f = UtilityRule((incs[0], *draw(st.lists(LEVELS, min_size=n - 1, max_size=n - 1))))
+        f = UtilityRule((incs[0], *draw(st.lists(levels, min_size=n - 1, max_size=n - 1))))
         value = draw(st.sampled_from([0.5, 1.0]))
         resources.append(Resource(rid, w, f, value))
     # the empty action may come anywhere, so the lowest tied index is not
@@ -410,6 +410,18 @@ def test_adversarial_matches_brute_tie_paths(case):
         assert step.action in best_responses(g, state, step.player)
     assert abs(traj.final_welfare - val) <= tol
     assert abs(welfare(g, traj.final) - val) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_games(st.sampled_from([0.0, 0.5, 1.0])))
+def test_reachable_nash_min_matches_the_bfs_oracle(g):
+    want, nash = bfs_reachable_nash(g)
+    got, state = reachable_nash_min(g)
+    assert got == want
+    assert state in nash
+    event("two or more reachable Nash joints" if len(nash) >= 2 else "one reachable Nash joint")
+    with pytest.raises(EnumerationCapError):
+        reachable_nash_min(g, cap=1)
 
 
 def test_adversarial_value_is_its_trajectory_welfare():

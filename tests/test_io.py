@@ -3,11 +3,15 @@ import json
 import pytest
 
 from resgames import (
+    build_poa_witness,
+    design_common_interest,
     game_from_dict,
     game_to_dict,
     k_round_walk,
     load_game,
+    make_welfare_rule,
     save_game,
+    solve_poa_lp,
     trajectory_to_jsonl,
     welfare,
 )
@@ -25,6 +29,27 @@ def test_game_json_round_trip(tmp_path):
     assert [r.rid for r in g2.resources] == [r.rid for r in g.resources]
     for joint in ((0, 0), (1, 2), (2, 1)):
         assert welfare(g2, joint) == pytest.approx(welfare(g, joint), abs=1e-12)
+
+
+def test_loaded_witness_shares_one_rule_pair(tmp_path):
+    w = make_welfare_rule("set_covering", 8)
+    g = build_poa_witness(solve_poa_lp(w, design_common_interest(w), 3), 40).game
+    path = tmp_path / "w.json"
+    save_game(g, path)
+    g2 = load_game(path)
+    assert g2.n_resources == g.n_resources > 1
+    assert len({id(r.welfare) for r in g2.resources}) == len({id(r.utility) for r in g2.resources}) == 1
+    assert game_to_dict(g2) == game_to_dict(g)
+
+
+def test_only_equal_rule_descriptions_share_a_rule():
+    d = game_to_dict(build_greedy_trap(0.1).game)  # three equal rule pairs
+    d["resources"][2]["utility"]["tail_value"] = -0.0  # equal to 0.0, but not the same rule
+    g = game_from_dict(d)
+    u = [r.utility for r in g.resources]
+    assert u[0] is u[1] and u[2] is not u[0]
+    assert str(u[2].tail_value) == "-0.0"
+    assert len({id(r.welfare) for r in g.resources}) == 1
 
 
 def test_empty_action_is_implicit():

@@ -12,11 +12,10 @@ from resgames import (
     UtilityRule,
     ValidationError,
     WelfareRule,
-    convert_rule,
     curvature,
+    design_common_interest,
     make_utility_rule,
     make_welfare_rule,
-    normalize,
     utility_full,
     utility_mc,
     welfare,
@@ -97,54 +96,6 @@ def test_utility_mc_examples():
     assert utility_mc(g_ci, (0, 1), 0) == 0.0
 
 
-def test_convert_rule_examples():
-    assert convert_rule("to_marginal", (1.0, 1.5, 1.5)) == (1.0, 0.5, 0.0)
-    assert convert_rule("to_cumulative", (1.0, 0.0, 0.0)) == (1.0, 1.0, 1.0)
-    assert convert_rule(
-        "to_cumulative", convert_rule("to_marginal", (1.0, 1.8, 2.2))
-    ) == pytest.approx((1.0, 1.8, 2.2), abs=1e-15)
-
-
-def test_convert_rule_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        convert_rule("to_marginal", (1.0, 1.2, 1.6))  # convex
-    with pytest.raises(ValidationError):
-        convert_rule("to_cumulative", (1.0, 1.2))  # increasing marginal
-
-
-def test_convert_round_trip_random():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(1, 12))
-        f = np.sort(rng.random(n))[::-1]
-        cum = convert_rule("to_cumulative", tuple(f))
-        back = convert_rule("to_marginal", cum)
-        assert max(abs(a - b) for a, b in zip(back, f)) <= 1e-12
-
-
-def test_normalize_rescales_and_preserves_welfare(rng):
-    w = make_welfare_rule("wta", 4, p=0.5)
-    f = make_utility_rule(convert_rule("to_marginal", w.values), w.tail_slope)
-    g = Game(
-        (Resource("x", w, f, 2.0),),
-        ((frozenset(), frozenset({"x"})), (frozenset(), frozenset({"x"}))),
-    )
-    gn = normalize(g)
-    assert gn.resources[0].welfare.values[0] == pytest.approx(1.0)
-    assert gn.resources[0].value == pytest.approx(1.0)
-    for joint in ((0, 0), (1, 0), (1, 1)):
-        assert welfare(gn, joint) == pytest.approx(welfare(g, joint), abs=1e-12)
-
-
-def test_normalize_noop_on_normalized():
-    g = build_greedy_trap(0.1).game
-    gn = normalize(g)
-    assert all(
-        a.welfare.values == b.welfare.values and a.value == b.value
-        for a, b in zip(g.resources, gn.resources)
-    )
-
-
 def test_utility_rule_invariants():
     with pytest.raises(ValidationError):
         make_utility_rule((1.0, 1.2))
@@ -218,7 +169,7 @@ def test_marginal_utility_equals_welfare_difference_for_ci(seed):
         Resource(
             r.rid,
             r.welfare,
-            UtilityRule(convert_rule("to_marginal", r.welfare.values), r.welfare.tail_slope),
+            design_common_interest(r.welfare),
             r.value,
         )
         for r in g.resources
