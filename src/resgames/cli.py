@@ -126,6 +126,8 @@ def _cmd_analyze(args):
             pt = frontier_setcov(q, args.jtrunc)
             lines.append(f"{q!r},{pt.one_round!r},False")
     elif args.route == "closed-form":
+        if args.welfare not in ("setcov", "set_covering", "bent"):
+            raise ValidationError(f"no closed form for welfare {args.welfare!r}; setcov and bent have one")
         w = _welfare_from_args(args, max(args.n + 2, args.jmax))
         f = _design_from_args(args, w, max(args.n + 2, args.jmax))
         fam = "setcov" if args.welfare in ("setcov", "set_covering") else "bent"
@@ -146,13 +148,13 @@ def _cmd_analyze(args):
         if sol.status != "optimal":
             raise ValidationError(f"LP status: {sol.status}")
         lines.append(f"{args.N},{1.0 / sol.q!r},False")
-    else:
-        raise ValidationError(f"unknown route {args.route!r}")
     _emit(lines, args.out)
     return 0
 
 
 def _cmd_construct(args):
+    if args.kind in ("two_agent_worst_case", "ci_chain") and args.C is None:
+        raise ValidationError(f"--kind {args.kind} needs the welfare curvature --C")
     if args.kind == "greedy_trap":
         con = build_greedy_trap(args.eps, args.f_values)
     elif args.kind == "two_agent_worst_case":
@@ -173,8 +175,6 @@ def _cmd_construct(args):
         f = _design_from_args(args, w, args.N1 + 2)
         sol = solve_poa_lp(w, f, args.N1)
         con = build_poa_witness(sol, args.N2)
-    else:
-        raise ValidationError(f"unknown construction kind {args.kind!r}")
     io.save_game(con.game, args.out)
     meta_path = Path(args.out).with_suffix(".meta.json")
     with meta_path.open("w") as fh:

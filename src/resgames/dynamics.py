@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -122,13 +123,11 @@ def _ties(g: Game, counts: Sequence[int], i: int, current: int) -> list[int]:
 
 def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
     """All argmax action indices for player i against a_{-i}, ties at TOL."""
-    a = g.validate_joint(a)
     return _ties(g, selection_counts(g, a).tolist(), i, a[i])
 
 
 def is_nash(g: Game, a: Sequence[int]) -> bool:
     """True iff every player's current action is one of its best responses."""
-    a = g.validate_joint(a)
     counts = selection_counts(g, a).tolist()
     return all(a[i] in _ties(g, counts, i, a[i]) for i in range(g.n_players))
 
@@ -390,38 +389,38 @@ def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
 
 
 def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]:
-    """Minimum welfare over Nash states reachable by some tie resolution.
+    """Minimum welfare over Nash states reachable by some tie resolution, and
+    the least such state of that welfare.
 
-    Explores the best-response transition graph from the null allocation; a
-    walk can stay at any reachable Nash state forever, so these are exactly
-    the attainable limit points under adversarial tie breaking.
+    A depth-first search over (mover, joint) from the null allocation, on
+    :class:`_AdversarialSearch`'s state.  A walk can stay at a reachable Nash
+    joint forever, so these are exactly the limit points under adversarial
+    ties.  A joint is Nash when all n of its states keep the mover's action.
     """
     n = g.n_players
-    start = (0, g.null_action)
-    seen = {start}
-    stack = [start]
-    nash_cache: dict[JointAction, bool] = {}
-    best: tuple[float, JointAction] | None = None
-    while stack:
-        pos, joint = stack.pop()
-        if joint not in nash_cache:
-            nash_cache[joint] = is_nash(g, joint)
-            if nash_cache[joint]:
-                w = welfare(g, joint)
-                if best is None or w < best[0]:
-                    best = (w, joint)
-        for b in best_responses(g, joint, pos):
-            child = list(joint)
-            child[pos] = b
-            state = ((pos + 1) % n, tuple(child))
-            if state not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapError(len(seen), cap, best[0] if best else None)
-                seen.add(state)
-                stack.append(state)
-    if best is None:
-        raise EnumerationCapError(len(seen), cap, None)
-    return best
+    search = _AdversarialSearch(g, round_robin_schedule(n, 1), cap)
+    search._reset()
+    joint, state = search.joint, (0, search.J.tobytes())
+    seen, stays, stack, best = {state}, Counter(), [], None
+    while True:
+        i, key = state
+        ties = _ties(g, search.counts, i, joint[i])
+        stays[key] += joint[i] in ties
+        if stays[key] == n:
+            nash = (welfare(g, joint), tuple(joint))
+            best = nash if best is None else min(best, nash)
+        stack.append((i, joint[i], iter(ties)))
+        while state in seen:
+            while (nxt := next(stack[-1][2], None)) is None:
+                i, old, _ = stack.pop()
+                search._set(i, old)
+                if not stack:
+                    return best
+            search._set(stack[-1][0], nxt)
+            state = ((stack[-1][0] + 1) % n, search.J.tobytes())
+        if len(seen) >= cap:
+            raise EnumerationCapError(len(seen), cap, best[0] if best else None)
+        seen.add(state)
 
 
 _BLOCK = 32  # most joint profiles of the last players under one bound

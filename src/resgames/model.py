@@ -332,8 +332,9 @@ class Game:
 
     def validate_joint(self, a: Sequence[int]) -> JointAction:
         _require(len(a) == self.n_players, "joint action has wrong number of players")
-        for i, ai in enumerate(a):
-            _require(0 <= ai < len(self.actions[i]), f"player {i} action index {ai} out of range")
+        for i, (ai, acts) in enumerate(zip(a, self.actions)):
+            if not (isinstance(ai, (int, np.integer)) and 0 <= ai < len(acts)):
+                raise ValidationError(f"player {i} action {ai!r} is not an index in [0, {len(acts)})")
         return tuple(a)
 
     def validate_tabulation(self) -> None:
@@ -346,11 +347,9 @@ class Game:
 
 def selection_counts(g: Game, a: Sequence[int]) -> np.ndarray:
     """Per-resource selector counts |a|_r for the joint action."""
-    counts = np.zeros(g.n_resources, dtype=np.int64)
-    for i, ai in enumerate(a):
-        for r in g.action_resources[i][ai]:
-            counts[r] += 1
-    return counts
+    res = g.action_resources
+    picked = [r for i, ai in enumerate(g.validate_joint(a)) for r in res[i][ai]]
+    return np.bincount(picked, minlength=g.n_resources)
 
 
 def welfare(g: Game, a: Sequence[int]) -> float:

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from resgames import Game, Resource, UtilityRule, WelfareRule, best_responses, build_poa_lp, utility_mc, welfare
+from resgames import Game, Resource, UtilityRule, WelfareRule, build_poa_lp, utility_mc, welfare
 from resgames.analytics import LPSolution
 from resgames.model import TOL, _require
 
@@ -72,38 +72,41 @@ def brute_force_optimum(g: Game, *, chunk: int = 1 << 18) -> tuple[tuple[int, ..
     return tuple(reversed(joint)), best_w
 
 
+def mc_argmaxes(g: Game, joint: tuple[int, ...], i: int) -> list[int]:
+    """Reference best responses: the actions b of player i whose utility_mc,
+    scored on the whole joint with i moved to b, is within TOL of the best."""
+    utils = [utility_mc(g, joint[:i] + (b,) + joint[i + 1:], i) for b in range(len(g.actions[i]))]
+    top = max(utils)
+    return [b for b, u in enumerate(utils) if top - u <= TOL]
+
+
 def brute_tie_paths(g: Game, schedule, joint=None) -> float:
     """Reference adversarial minimum: the least final welfare over every
-    resolution of every best-response tie along ``schedule``, from the null
-    allocation, found by plain recursion."""
+    resolution of every best-response tie (:func:`mc_argmaxes`) along
+    ``schedule``, from the null allocation, found by plain recursion."""
     joint = g.null_action if joint is None else joint
     if not schedule:
         return welfare(g, joint)
     i = schedule[0]
     return min(
         brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
-        for b in best_responses(g, joint, i)
+        for b in mc_argmaxes(g, joint, i)
     )
 
 
 def bfs_reachable_nash(g: Game) -> tuple[float, set[tuple[int, ...]]]:
     """Reference limit route: breadth-first search over (mover, joint) from
-    (0, null allocation).  The mover may take any action whose utility_mc is
-    within TOL of its best; a joint is Nash when every player's action is
-    such an argmax.  Returns the least welfare over the reachable Nash joints,
-    and those joints."""
-    def argmaxes(joint, i):
-        utils = [utility_mc(g, joint[:i] + (b,) + joint[i + 1:], i) for b in range(len(g.actions[i]))]
-        top = max(utils)
-        return [b for b, u in enumerate(utils) if top - u <= TOL]
-
+    (0, null allocation).  The mover may take any action of
+    :func:`mc_argmaxes`; a joint is Nash when every player's action is among
+    its own.  Returns the least welfare over the reachable Nash joints, and
+    those joints."""
     start = (0, g.null_action)
     seen, queue, nash = {start}, deque([start]), set()
     while queue:
         pos, joint = queue.popleft()
-        if all(joint[i] in argmaxes(joint, i) for i in range(g.n_players)):
+        if all(joint[i] in mc_argmaxes(g, joint, i) for i in range(g.n_players)):
             nash.add(joint)
-        for b in argmaxes(joint, pos):
+        for b in mc_argmaxes(g, joint, pos):
             state = ((pos + 1) % g.n_players, joint[:pos] + (b,) + joint[pos + 1:])
             if state not in seen:
                 seen.add(state)

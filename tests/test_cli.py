@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from resgames import io, reachable_nash_min
 from resgames.cli import main
 
 
@@ -45,6 +47,40 @@ def test_simulate_inf(tmp_path, capsys):
     rc = main(["simulate", "--game", str(game_path), "--k", "inf"])
     assert rc == 0
     assert "final_welfare=1.2" in capsys.readouterr().out
+
+
+def test_simulate_inf_adversarial(tmp_path, capsys):
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
+    capsys.readouterr()
+    argv = ["simulate", "--game", str(game_path), "--k", "inf", "--tiebreak", "adversarial"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == f"limit_welfare={reachable_nash_min(io.load_game(game_path))[0]!r} state=[2, 2]\n"
+    assert main([*argv, "--cap", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: tie enumeration exceeded cap=1")
+
+
+def test_analyze_one_round(capsys):
+    argv = ["analyze", "--route", "one-round", "--welfare", "bent", "--C", "0.5", "--design", "one_round"]
+    assert main(argv) == 0
+    assert abs(float(capsys.readouterr().out.splitlines()[1].split(",")[1]) - 0.75) <= 1e-12
+    assert main(["analyze", "--route", "one-round", "--welfare", "setcov", "--design", "common_interest"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "10000,0.5,False"
+
+
+def test_analyze_closed_form(capsys):
+    argv = ["analyze", "--route", "closed-form", "--welfare", "setcov", "--design", "asymptotic", "--C", "1"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert abs(float(line.split(",")[1]) - (1 - 1 / math.e)) <= 1e-12
+
+
+@pytest.mark.parametrize("welfare", ["wta", "harmonic"])
+def test_analyze_closed_form_names_the_families_it_has(capsys, welfare):
+    assert main(["analyze", "--route", "closed-form", "--welfare", welfare]) == 2
+    err = capsys.readouterr().err
+    assert repr(welfare) in err and "setcov" in err and "bent" in err
 
 
 def test_analyze_bounds(capsys):
@@ -100,6 +136,21 @@ def test_construct_all_kinds(tmp_path, capsys):
         assert meta["kind"] == kinds.get(extra[1], extra[1])
         rc = main(["simulate", "--game", str(out), "--k", "1", "--tiebreak", "adversarial"])
         assert rc == 0
+
+
+def test_construct_two_agent_from_f_values(tmp_path, capsys):
+    out = tmp_path / "two.json"
+    argv = ["construct", "--kind", "two_agent_worst_case", "--f-values", "1,0.5", "--out", str(out)]
+    assert main([*argv, "--C", "0.5"]) == 0
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert (meta["case"], meta["f2"], meta["target_ratio"]) == ("f2_below_floor", 0.5, 0.75)
+    assert io.load_game(out).resources[2].value == 0.5  # r3 is worth f(2)
+    # without --C the curvature is unknown: a usage error, not a TypeError
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --kind two_agent_worst_case needs the welfare curvature --C\n"
+    assert main(["construct", "--kind", "ci_chain", "--out", str(tmp_path / "chain.json")]) == 2
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_validation_exit_code():

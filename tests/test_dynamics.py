@@ -318,6 +318,13 @@ def test_reachable_nash_min(trap_ci):
     assert w == pytest.approx(1.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, c", [(10, 0.0), (10, 0.25), (10, 0.5), (10, 1.0),
+                                  (30, 0.25), (30, 0.5), (30, 1.0)])
+def test_chain_limit_is_the_walk_welfare(n, c):
+    # the worst Nash state a tie path reaches has the walk's welfare, n
+    assert reachable_nash_min(build_common_interest_chain(n, c).game)[0] == n
+
+
 def test_one_round_can_end_at(trap_ci):
     assert one_round_can_end_at(trap_ci, (2, 2))
     assert not one_round_can_end_at(trap_ci, (1, 1))
@@ -418,7 +425,7 @@ def test_reachable_nash_min_matches_the_bfs_oracle(g):
     want, nash = bfs_reachable_nash(g)
     got, state = reachable_nash_min(g)
     assert got == want
-    assert state in nash
+    assert state == min(nash, key=lambda a: (welfare(g, a), a))
     event("two or more reachable Nash joints" if len(nash) >= 2 else "one reachable Nash joint")
     with pytest.raises(EnumerationCapError):
         reachable_nash_min(g, cap=1)

@@ -16,6 +16,7 @@ from resgames import (
     design_common_interest,
     make_utility_rule,
     make_welfare_rule,
+    selection_counts,
     utility_full,
     utility_mc,
     welfare,
@@ -80,6 +81,22 @@ def test_welfare_example_values():
     assert welfare(g, (2, 2)) == pytest.approx(1.2, abs=1e-12)  # r2 + r3
     assert welfare(g, (1, 1)) == pytest.approx(2.1, abs=1e-12)  # r1 + r2
     assert welfare(g, (0, 0)) == 0.0
+
+
+@pytest.mark.parametrize("evaluate", [
+    selection_counts, welfare, utility_full, lambda g, a: utility_mc(g, a, 0),
+], ids=["selection_counts", "welfare", "utility_full", "utility_mc"])
+@pytest.mark.parametrize("joint", [(1,), (-1, 0), (5, 0), (1.0, 0), (np.float64(1.0), 0)])
+def test_joint_actions_are_checked_at_the_boundary(evaluate, joint):
+    # the greedy trap has two players with three actions each; a short joint
+    # or a negative index was scored without a word
+    with pytest.raises(ValidationError):
+        evaluate(build_greedy_trap(0.1).game, joint)
+
+
+def test_joint_actions_accept_numpy_integers():
+    g = build_greedy_trap(0.1).game
+    assert welfare(g, np.array([2, 2])) == welfare(g, (2, 2))
 
 
 def test_utility_mc_examples():
