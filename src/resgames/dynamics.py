@@ -123,6 +123,7 @@ def _ties(g: Game, counts: Sequence[int], i: int, current: int) -> list[int]:
 
 def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
     """All argmax action indices for player i against a_{-i}, ties at TOL."""
+    i = g.validate_player(i)
     return _ties(g, selection_counts(g, a).tolist(), i, a[i])
 
 
@@ -189,48 +190,57 @@ def _deterministic(g: Game, tie_break: str):
     return choose
 
 
-_INT16_LIMIT = 2**15  # the search mirrors hold counts and action indices as int16 below this
+_INT16_LIMIT = 2**15  # the search mirror holds counts and action indices as int16 below this
 
 
 class _AdversarialSearch:
     """Depth-first minimization of final welfare over all best-response ties.
 
     The state at step t is the actions of the players that still move and
-    the counts of the resources that some step >= t can touch.  Every other
-    resource has its welfare finalized and is left out of the memo key, so
-    the reachable-state blowup from long tie chains stays bounded by what
-    the still-active resources distinguish.  Players and resources are
-    ordered by their last step, latest first, so both sets are prefixes of
-    that order.  ``J`` and ``C`` mirror ``joint`` and ``counts`` in it, as
-    int16 arrays (int32 when a count or an action index may not fit), and
-    the key at t is the bytes of their two prefixes, one memo dict per step.
+    the counts of the resources that some step >= t can touch, taken with
+    the mover lifted to its empty action.  Every other resource has its
+    welfare finalized and is left out of the memo key, so the reachable-state
+    blowup from long tie chains stays bounded by what the still-active
+    resources distinguish.  The lift is exact: ``_ties`` scores a held action
+    on the counts without it plus one, which is what the lifted counts with
+    an empty own action give, in the same order, and the move then
+    overwrites the action.  So every state that lifts to one key has the
+    same ties and the same children.  One int16 mirror ``S`` (int32 when a
+    count or an action index may not fit) holds the players' actions in
+    ``[0, n)``, ordered by last step, latest last, and the resources' counts
+    in ``[n, n + R)``, latest first.  The players that still move then end
+    the first part and the active resources start the second, so the key at
+    t is the bytes of one slice ``S[lo[t]:hi[t]]``, one memo dict per step.
     """
 
     def __init__(self, g: Game, schedule: tuple[int, ...], cap: int):
         self.g = g
         self.schedule = schedule
         self.cap = cap
-        n_steps = len(schedule)
-        player_last = [-1] * g.n_players
+        n, n_steps = g.n_players, len(schedule)
+        player_last = [-1] * n
         for t, i in enumerate(schedule):
             player_last[i] = t
         res_last = [-1] * g.n_resources
         for i, acts in enumerate(g.action_resources):
             for r in set().union(*acts):
                 res_last[r] = max(res_last[r], player_last[i])
-        self.players = sorted(range(g.n_players), key=lambda i: (-player_last[i], i))
+        self.players = sorted(range(n), key=player_last.__getitem__)
         self.res_order = sorted(range(g.n_resources), key=lambda r: (-res_last[r], r))
-        self.n_future = self._prefix_lengths(player_last, n_steps)
-        self.n_active = n_active = self._prefix_lengths(res_last, n_steps)
-        self.finalized_after = [
-            self.res_order[n_active[t + 1]:n_active[t]] for t in range(n_steps)
+        self.lo = [n - m for m in self._prefix_lengths(player_last, n_steps)]
+        n_active = self._prefix_lengths(res_last, n_steps)
+        self.hi = [n + m for m in n_active]
+        wrows = g._welfare_rows
+        self.finalized_after = [  # (welfare row, resource) of those step t's move finalizes
+            [(wrows[r], r) for r in self.res_order[n_active[t + 1]:n_active[t]]]
+            for t in range(n_steps)
         ]
-        self.player_pos = np.argsort(self.players).tolist()
-        res_pos = np.argsort(self.res_order).tolist()
+        self.slot = np.argsort(self.players).tolist()
+        res_slot = (n + np.argsort(self.res_order)).tolist()
         self.moves = [
-            [tuple((r, res_pos[r]) for r in res) for res in acts] for acts in g.action_resources
+            [tuple((r, res_slot[r]) for r in res) for res in acts] for acts in g.action_resources
         ]
-        widest = max(g.n_players + 1, max(map(len, g.actions)))
+        widest = max(n + 1, max(map(len, g.actions)))
         self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
         self.memo: list[dict[bytes, tuple[float, int]]] = [{} for _ in range(n_steps)]
         self.explored = 0
@@ -242,94 +252,87 @@ class _AdversarialSearch:
         return (len(last) - np.searchsorted(np.sort(last), np.arange(n_steps + 1))).tolist()
 
     def _reset(self) -> None:
-        """Puts ``joint``, ``counts`` and their mirrors at the null allocation."""
+        """Puts ``joint``, ``counts`` and ``S`` at the null allocation."""
         null = self.g.null_action
         self.joint = list(null)
         self.counts = selection_counts(self.g, null).tolist()
-        # memoryviews: item updates and prefix bytes cost less than on the arrays
-        self.J = memoryview(np.array([null[i] for i in self.players], dtype=self.dtype))
-        self.C = memoryview(np.array([self.counts[r] for r in self.res_order], dtype=self.dtype))
+        # a memoryview: item updates and slice bytes cost less than on the array
+        self.S = memoryview(np.array([null[i] for i in self.players]
+                                     + [self.counts[r] for r in self.res_order], dtype=self.dtype))
 
     def _set(self, i: int, a: int) -> None:
-        """Moves player i to action ``a`` in ``joint``, ``counts`` and the mirrors."""
-        counts, C, moves = self.counts, self.C, self.moves[i]
+        """Moves player i to action ``a`` in ``joint``, ``counts`` and ``S``."""
+        counts, S, moves = self.counts, self.S, self.moves[i]
         for r, p in moves[self.joint[i]]:
             counts[r] -= 1
-            C[p] -= 1
-        self.joint[i] = self.J[self.player_pos[i]] = a
+            S[p] -= 1
+        self.joint[i] = S[self.slot[i]] = a
         for r, p in moves[a]:
             counts[r] += 1
-            C[p] += 1
+            S[p] += 1
 
-    def _key(self, t: int) -> bytes:
-        return self.J[:self.n_future[t]].tobytes() + self.C[:self.n_active[t]].tobytes()
+    def _lift(self, t: int) -> bytes:
+        """Moves step t's mover to its empty action and returns the memo key."""
+        i = self.schedule[t]
+        if self.joint[i] != self.g.null_action[i]:
+            self._set(i, self.g.null_action[i])
+        return self.S[self.lo[t]:self.hi[t]].tobytes()
 
     def run(self) -> float:
-        """Drives the ``_solve`` generators from an explicit stack, so the
-        search depth never touches the interpreter's recursion limit."""
+        """The least final welfare, searched from an explicit stack of frames
+        ``[t, acc, key, old, ties, action, released, best, best action]``,
+        so the depth never touches the interpreter's recursion limit.  A
+        frame is an unmemoised state at step t with ``acc`` finalized; it
+        restores the mover's ``old`` action when its ties are spent."""
         self._reset()
-        stack = []
-        t, acc = 0, 0.0
+        g, sched, null, counts = self.g, self.schedule, self.g.null_action, self.counts
+        joint, memo, fin_after = self.joint, self.memo, self.finalized_after
+        set_, lift = self._set, self._lift
+        stack, t, acc = [], 0, 0.0
         while True:
-            val, key = self._lookup(t, acc)
-            if key is not None:
-                stack.append(self._solve(t, acc, key))
+            rest = 0.0  # the welfare still to come, None while a new frame has no child
+            if t < len(sched):
+                i = sched[t]
+                old = joint[i]
+                key = lift(t)
+                hit = memo[t].get(key)
+                if hit is None:
+                    self.explored += 1
+                    if self.explored > self.cap:
+                        raise EnumerationCapError(self.explored, self.cap, self.best_upper)
+                    stack.append([t, acc, key, old, iter(_ties(g, counts, i, null[i])), -1, 0.0, None, -1])
+                    rest = None
+                else:
+                    set_(i, old)
+                    rest = hit[0]
+            if rest is not None and (self.best_upper is None or acc + rest < self.best_upper):
+                self.best_upper = acc + rest
             while stack:
-                try:
-                    t, acc = stack[-1].send(val)
+                frame = stack[-1]
+                t, acc, key, old, ties, a, released, best, best_act = frame
+                if rest is not None and (best is None or released + rest < best):
+                    best, best_act = frame[7:] = released + rest, a
+                if (a := next(ties, None)) is not None:
+                    set_(sched[t], a)
+                    fin = fin_after[t]
+                    released = sum(row[counts[r]] for row, r in fin) if fin else 0.0
+                    frame[5:7] = a, released
+                    t, acc = t + 1, acc + released
                     break
-                except StopIteration as done:
-                    stack.pop()
-                    val = done.value
+                set_(sched[t], old)
+                memo[t][key] = (best, best_act)
+                rest = best
+                stack.pop()
             else:
-                return val
-
-    def _lookup(self, t: int, acc: float) -> tuple[float | None, bytes | None]:
-        """``(rest, None)`` when the welfare still to come after ``acc`` is
-        known (the walk has ended or its state is memoised), else ``(None, key)``.
-        Settling those here spares a generator per leaf and memo hit."""
-        if t == len(self.schedule):
-            rest = 0.0
-        else:
-            key = self._key(t)
-            hit = self.memo[t].get(key)
-            if hit is None:
-                return None, key
-            rest = hit[0]
-        if self.best_upper is None or acc + rest < self.best_upper:
-            self.best_upper = acc + rest
-        return rest, None
-
-    def _solve(self, t: int, acc: float, key: bytes):
-        """Generator that searches the unmemoised state at step t, with
-        ``acc`` already finalized.  It yields ``(t + 1, acc')`` for each tie,
-        is sent back the welfare still to come there, and returns the least."""
-        self.explored += 1
-        if self.explored > self.cap:
-            raise EnumerationCapError(self.explored, self.cap, self.best_upper)
-        g, counts = self.g, self.counts
-        wrows = g._welfare_rows
-        i = self.schedule[t]
-        old = self.joint[i]
-        best_val: float | None = None
-        best_act = -1
-        for a_idx in _ties(g, counts, i, old):
-            self._set(i, a_idx)
-            released = sum(wrows[r][counts[r]] for r in self.finalized_after[t])
-            val = released + (yield t + 1, acc + released)
-            if best_val is None or val < best_val:
-                best_val, best_act = val, a_idx
-        self._set(i, old)
-        self.memo[t][key] = (best_val, best_act)
-        return best_val
+                return rest
 
     def reconstruct(self) -> Trajectory:
-        """Replays the minimizing walk on the mirrors, reading each step's
-        action from the memo, and records it with :func:`_walk`."""
+        """Replays the minimizing walk on ``S``, reading each step's action
+        from the memo, and records it with :func:`_walk`."""
         self._reset()
         acts = []
         for t, i in enumerate(self.schedule):
-            acts.append(self.memo[t][self._key(t)][1])
+            acts.append(self.memo[t][self._lift(t)][1])
             self._set(i, acts[-1])
         return _walk(self.g, self.g.null_action, self.schedule,
                      lambda t, i, joint, counts: acts[t])
@@ -400,7 +403,7 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     n = g.n_players
     search = _AdversarialSearch(g, round_robin_schedule(n, 1), cap)
     search._reset()
-    joint, state = search.joint, (0, search.J.tobytes())
+    joint, state = search.joint, (0, search.S[:n].tobytes())
     seen, stays, stack, best = {state}, Counter(), [], None
     while True:
         i, key = state
@@ -417,7 +420,7 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
                 if not stack:
                     return best
             search._set(stack[-1][0], nxt)
-            state = ((stack[-1][0] + 1) % n, search.J.tobytes())
+            state = ((stack[-1][0] + 1) % n, search.S[:n].tobytes())
         if len(seen) >= cap:
             raise EnumerationCapError(len(seen), cap, best[0] if best else None)
         seen.add(state)

@@ -337,6 +337,11 @@ class Game:
                 raise ValidationError(f"player {i} action {ai!r} is not an index in [0, {len(acts)})")
         return tuple(a)
 
+    def validate_player(self, i: int) -> int:
+        _require(isinstance(i, (int, np.integer)) and 0 <= i < self.n_players,
+                 f"player index {i!r} is not in [0, {self.n_players})")
+        return i
+
     def validate_tabulation(self) -> None:
         """Check every rule is tabulated past the largest attainable selector count."""
         for r, need in zip(self.resources, self.max_selectors):
@@ -361,6 +366,7 @@ def welfare(g: Game, a: Sequence[int]) -> float:
 
 def utility_mc(g: Game, a: Sequence[int], i: int) -> float:
     """Marginal-contribution utility of player i: sum over its selections of v_r * f_r(|a|_r)."""
+    i = g.validate_player(i)
     counts = selection_counts(g, a)
     tabs = g.utility_tables
     return float(sum(tabs[r, counts[r]] for r in g.action_resources[i][a[i]]))

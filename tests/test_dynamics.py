@@ -402,9 +402,21 @@ def shared_holder_game() -> Game:
     return Game((r0, r1), ((frozenset(), ab, a), (frozenset(), a), (frozenset(), a, b)))
 
 
+def lifted_mover_game() -> Game:
+    """Player 0 first ties between the solo r1 and the shared r2, player 1
+    then takes r2 either way, so both tie paths reach step 2 with player 0
+    on different actions but one state once player 0 is lifted.  There it
+    ties again, and r2 ends 1.5 below r1."""
+    solo = Resource("r1", WelfareRule((1.0, 1.0), 0.0), UtilityRule((1.0, 0.0)), 2.0)
+    shared = Resource("r2", WelfareRule((1.0, 1.25), 0.0), UtilityRule((1.0, 1.0)), 2.0)
+    empty, r1, r2 = frozenset(), frozenset({"r1"}), frozenset({"r2"})
+    return Game((solo, shared), ((empty, r1, r2), (empty, r2)))
+
+
 @settings(max_examples=500, deadline=None)
 @given(games_and_schedules())
 @example((shared_holder_game(), 2, None))
+@example((lifted_mover_game(), 2, None))
 def test_adversarial_matches_brute_tie_paths(case):
     g, k, schedule = case
     sched = round_robin_schedule(g.n_players, k) if schedule is None else tuple(schedule)
@@ -417,6 +429,20 @@ def test_adversarial_matches_brute_tie_paths(case):
         assert step.action in best_responses(g, state, step.player)
     assert abs(traj.final_welfare - val) <= tol
     assert abs(welfare(g, traj.final) - val) <= tol
+
+
+def test_adversarial_search_solves_a_lifted_state_once():
+    g = lifted_mover_game()
+    sched = round_robin_schedule(2, 2)
+    assert best_responses(g, g.null_action, 0) == [1, 2]
+    assert best_responses(g, (1, 0), 1) == best_responses(g, (2, 0), 1) == [1]
+    search = dynamics._AdversarialSearch(g, sched, 100)
+    assert search.run() == brute_tie_paths(g, sched) == 2.5
+    # step 2 is reached from (1, 1) and (2, 1); lifting player 0 makes them one key
+    assert [len(m) for m in search.memo] == [1, 2, 1, 2]
+    assert search.explored == 6
+    assert search.reconstruct().final == (2, 1)
+    assert k_round_walk(g, 2).final_welfare == 4.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,17 +490,23 @@ def _chain_search(n, c, k):
     return search.run(), search.explored, search.reconstruct()
 
 
-# (n, C, k), the visited-state count and the value's float.hex, recorded when
-# the search keyed its memo on tuples and the tables spanned n_players + 1 counts
-@pytest.mark.parametrize("n, c, k, visited, value", [
-    (12, 0.0, 3, 34812, "0x1.8000000000000p+3"),
-    (30, 0.5, 2, 1337, "0x1.e000000000000p+4"),
-])
-def test_adversarial_chain_search_is_pinned(n, c, k, visited, value):
+# (n, C, k), the visited-state count, the value's float.hex and the worst
+# walk's actions (one digit per round-robin step) and final state.  The
+# values, walks and finals were recorded when the search keyed its memo on
+# tuples and the tables spanned n_players + 1 counts; the visited counts
+# when the memo key left out the mover's action.
+@pytest.mark.parametrize("n, c, k, visited, value, actions, final", [
+    (12, 0.0, 3, 20478, "0x1.8000000000000p+3", "1" * 36, (1,) * 12),
+    (30, 0.5, 2, 1308, "0x1.e000000000000p+4", "1" * 60, (1,) * 30),
+], ids=["n12-C0-k3", "n30-C.5-k2"])
+def test_adversarial_chain_search_is_pinned(n, c, k, visited, value, actions, final):
     val, explored, traj = _chain_search(n, c, k)
     assert explored == visited
     assert val.hex() == value
     assert traj.final_welfare.hex() == value
+    steps = [(s.player, s.action) for s in traj.steps]
+    assert steps == list(zip(round_robin_schedule(n, k), map(int, actions)))
+    assert traj.final == final
 
 
 def test_adversarial_search_int32_mirrors_match_int16(monkeypatch):

@@ -12,6 +12,7 @@ from resgames import (
     UtilityRule,
     ValidationError,
     WelfareRule,
+    best_responses,
     curvature,
     design_common_interest,
     make_utility_rule,
@@ -92,6 +93,21 @@ def test_joint_actions_are_checked_at_the_boundary(evaluate, joint):
     # or a negative index was scored without a word
     with pytest.raises(ValidationError):
         evaluate(build_greedy_trap(0.1).game, joint)
+
+
+@pytest.mark.parametrize("evaluate", [utility_mc, best_responses], ids=["utility_mc", "best_responses"])
+@pytest.mark.parametrize("i", [-1, 2, 5, 1.0, np.float64(0.0), None])
+def test_player_indices_are_checked_at_the_boundary(evaluate, i):
+    # i = -1 answered for player 1, i = 2 raised a bare IndexError and i = 1.0
+    # a TypeError
+    with pytest.raises(ValidationError):
+        evaluate(build_greedy_trap(0.1).game, (2, 2), i)
+
+
+def test_player_indices_accept_numpy_integers():
+    g = build_greedy_trap(0.1).game
+    assert utility_mc(g, (2, 2), np.int64(1)) == utility_mc(g, (2, 2), 1) == 0.1
+    assert best_responses(g, (2, 2), np.int64(1)) == best_responses(g, (2, 2), 1)
 
 
 def test_joint_actions_accept_numpy_integers():
