@@ -1,7 +1,8 @@
 """Compare theoretical worst-case efficiencies with measured walk ratios.
 
 For each curvature, prints the closed-form guarantees next to the adversarial
-walk ratio realized on the matching tight construction.
+walk ratio realized on the matching tight construction.  The chain's column
+divides by its reference allocation, which is the optimum only for C >= 1/2.
 """
 from resgames import (
     build_common_interest_chain,
@@ -13,7 +14,7 @@ from resgames import (
 
 
 def main():
-    print(f"{'C':>5} | {'1-C/2':>8} {'measured':>9} | {'1/(1+C)':>8} {'measured':>9} | {'1-C/e':>8}")
+    print(f"{'C':>5} | {'1-C/2':>8} {'measured':>9} | {'1/(1+C)':>8} {'walk/ref':>9} | {'1-C/e':>8}")
     for i in range(5):
         c = i * 0.25
         two = build_two_agent_worst_case(c, design_one_round(c))

@@ -125,7 +125,7 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
              for j in range(1, jm + 1)]  # m[j-1]: the max over l at j
         best = max(m)
         return BoundResult(1.0 / best, best > max(m[:-1], default=-np.inf) + 1e-12)
-    raise ValidationError(f"unknown closed-form family {family!r}")
+    raise ValidationError(f"no closed form for family {family!r}; setcov and bent have one")
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,9 @@ def theory_bounds(c: float, k, design: str) -> float:
 
     design="optimal": 1 - c/2 for any finite k, 1 - c/e in the limit.
     design="common_interest": 1/(1+c) for every k.
-    design="asymptotic_one_round": the one-round value of the limit-optimal
-    design, 1 + (c-3)c / ((2-c)e + c).
+    design="asymptotic_one_round": 1 + (c-3)c / ((2-c)e + c), an upper bound
+    on the one-round guarantee of the limit-optimal design, which lies below
+    it at every c > 0.
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("curvature must lie in [0, 1]")

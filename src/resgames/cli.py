@@ -41,14 +41,15 @@ from .experiments import ExperimentConfig, export_result, run_experiment
 from .model import UtilityRule, ValidationError, make_welfare_rule, welfare
 
 
-def _welfare_from_args(args, j_max):
+def _spec(args):
+    return DesignSpec(args.design, c=args.C, b=args.b, chi=args.chi, q=args.q)
+
+
+def _rules(args, n, f_len=None):
+    """The --welfare rule tabulated to n and its --design rule tabulated to f_len (default n)."""
     fam = "set_covering" if args.welfare == "setcov" else args.welfare
-    return make_welfare_rule(fam, j_max, b=args.b, curvature=args.C, p=args.p)
-
-
-def _design_from_args(args, w, j_max):
-    spec = DesignSpec(args.design, c=args.C, b=args.b, chi=args.chi, q=args.q)
-    return resolve_design(spec, w, j_max)
+    w = make_welfare_rule(fam, n, b=args.b, curvature=args.C, p=args.p)
+    return w, resolve_design(_spec(args), w, n if f_len is None else f_len)
 
 
 def grid(text):
@@ -90,6 +91,8 @@ def _cmd_simulate(args):
     tb = INCUMBENT_THEN_LEX if args.tiebreak == "incumbent" else args.tiebreak
     if args.k == math.inf and args.schedule is None:
         if tb == ADVERSARIAL:
+            if args.out:
+                raise ValidationError("--out writes a walk, but --k inf --tiebreak adversarial finds a state")
             w, state = reachable_nash_min(g, cap=args.cap)
             print(f"limit_welfare={w!r} state={list(state)}")
             return 0
@@ -105,8 +108,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_design(args):
-    w = _welfare_from_args(args, args.jmax) if args.welfare else make_welfare_rule("set_covering", args.jmax)
-    f = _design_from_args(args, w, args.jmax)
+    _, f = _rules(args, args.jmax)
     if args.format == "json":
         _emit([json.dumps({"family": args.design, "values": list(f.values), "tail_value": f.tail_value})], args.out)
     else:
@@ -126,24 +128,19 @@ def _cmd_analyze(args):
             pt = frontier_setcov(q, args.jtrunc)
             lines.append(f"{q!r},{pt.one_round!r},False")
     elif args.route == "closed-form":
-        if args.welfare not in ("setcov", "set_covering", "bent"):
-            raise ValidationError(f"no closed form for welfare {args.welfare!r}; setcov and bent have one")
-        w = _welfare_from_args(args, max(args.n + 2, args.jmax))
-        f = _design_from_args(args, w, max(args.n + 2, args.jmax))
-        fam = "setcov" if args.welfare in ("setcov", "set_covering") else "bent"
-        res = poa_closed_form(w, f, fam, n=args.n, j_max=args.jmax)
+        w, f = _rules(args, max(args.n + 2, args.jmax))
+        res = poa_closed_form(w, f, args.welfare, n=args.n, j_max=args.jmax)
         lines.append(f"{args.n},{res.value!r},{res.truncated}")
     elif args.route == "one-round":
-        w = _welfare_from_args(args, args.jmax)
-        f = _design_from_args(args, w, args.jmax + 2)
-        if args.welfare in ("setcov", "set_covering"):
+        setcov = args.welfare == "setcov"  # the set-covering route sums f to --jtrunc
+        w, f = _rules(args, args.jmax, args.jtrunc if setcov else args.jmax + 2)
+        if setcov:
             lines.append(f"{args.jtrunc},{one_round_setcov(f, args.jtrunc)!r},False")
         else:
             res = one_round_bound(w, f, args.jmax)
             lines.append(f"{args.jmax},{res.value!r},{res.truncated}")
     elif args.route == "lp":
-        w = _welfare_from_args(args, args.N + 2)
-        f = _design_from_args(args, w, args.N + 2)
+        w, f = _rules(args, args.N + 2)
         sol = solve_poa_lp(w, f, args.N)
         if sol.status != "optimal":
             raise ValidationError(f"LP status: {sol.status}")
@@ -161,18 +158,16 @@ def _cmd_construct(args):
         if args.f_values:
             f = UtilityRule(tuple(args.f_values))
         else:
-            w = make_welfare_rule("bent", 2, b=1, curvature=args.C)
-            f = _design_from_args(args, w, 8)
+            f = resolve_design(_spec(args), make_welfare_rule("bent", 2, b=1, curvature=args.C), 8)
         con = build_two_agent_worst_case(args.C, f)
     elif args.kind == "ci_chain":
         con = build_common_interest_chain(args.n, args.C)
     elif args.kind == "stack_or_spread":
         w = make_welfare_rule("set_covering", max(args.n, 2))
-        f = _design_from_args(args, w, max(args.n, 2))
+        f = resolve_design(_spec(args), w, max(args.n, 2))
         con = build_stack_or_spread(args.n, f)
     elif args.kind == "poa_witness":
-        w = _welfare_from_args(args, args.N1 + 2)
-        f = _design_from_args(args, w, args.N1 + 2)
+        w, f = _rules(args, args.N1 + 2)
         sol = solve_poa_lp(w, f, args.N1)
         con = build_poa_witness(sol, args.N2)
     io.save_game(con.game, args.out)
@@ -216,11 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--chi", type=float, default=None)
         sp.add_argument("--q", type=float, default=None)
         sp.add_argument("--p", type=float, default=0.5)
+        sp.add_argument("--welfare", default="setcov", choices=["setcov", "bent", "wta", "harmonic"])
 
     des = sub.add_parser("design", help="tabulate a utility rule")
     add_design_flags(des)
-    des.add_argument("--welfare", default=None,
-                     choices=["setcov", "set_covering", "bent", "wta", "harmonic"])
     des.add_argument("--jmax", type=int, default=16)
     des.add_argument("--format", default="csv", choices=["csv", "json"])
     des.add_argument("--out", default=None)
@@ -236,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--N", type=int, default=8)
     ana.add_argument("--jtrunc", type=int, default=10_000)
     ana.add_argument("--jmax", type=int, default=50)
-    ana.add_argument("--welfare", default="setcov",
-                     choices=["setcov", "set_covering", "bent", "wta", "harmonic"])
     add_design_flags(ana, default_design="common_interest",
                      extra_choices=("optimal", "asymptotic_one_round"))
     ana.add_argument("--out", default=None)
@@ -253,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--N2", type=int, default=40)
     con.add_argument("--f-values", dest="f_values", type=comma_floats, default=None,
                      help="explicit comma-separated utility rule values")
-    con.add_argument("--welfare", default="setcov",
-                     choices=["setcov", "set_covering", "bent", "wta", "harmonic"])
     add_design_flags(con, default_design="one_round")
     con.add_argument("--out", required=True)
     con.set_defaults(func=_cmd_construct)

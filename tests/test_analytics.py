@@ -71,6 +71,21 @@ def test_one_round_bound_asymptotic_design_below_tradeoff_bound():
         assert val <= theory_bounds(c, "one", "asymptotic_one_round") + 1e-9
 
 
+
+def test_theory_bounds_match_the_computed_guarantees():
+    # asymptotic_one_round is only an upper bound (the test above); these are equalities
+    for i in range(21):
+        c = i * 0.05
+        w = make_welfare_rule("bent", 202, b=1, curvature=c)
+        ci = design_common_interest(w)
+        assert abs(one_round_bound(w, ci, 200).value - theory_bounds(c, "one", "common_interest")) <= 1e-12
+        assert abs(poa_closed_form(w, ci, "bent", j_max=200).value
+                   - theory_bounds(c, "infinity", "common_interest")) <= 1e-12
+        assert abs(one_round_bound(w, design_one_round(c, 203), 200).value
+                   - theory_bounds(c, "one", "optimal")) <= 1e-12
+        assert abs(poa_closed_form(w, design_asymptotic(1, c, 203), "bent", j_max=200).value
+                   - theory_bounds(c, "infinity", "optimal")) <= 1e-12
+
 def test_one_round_setcov_examples():
     assert one_round_setcov(make_utility_rule((1.0, 0.0)), 10) == pytest.approx(0.5, abs=1e-15)
     f = design_asymptotic(1, 1.0, 10**5)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from resgames import io, reachable_nash_min
+from resgames import design_asymptotic, io, one_round_setcov, reachable_nash_min
 from resgames.cli import main
 
 
@@ -221,6 +221,7 @@ def test_invalid_config_exit_code(tmp_path, capsys, config):
     ["analyze", "--route", "bounds", "--C-grid", "0:1:nan"],
     ["analyze", "--route", "bounds", "--C-grid", "0:1"],
     ["analyze", "--route", "bounds", "--C-grid", "0:1:1e-12"],  # 10^12 points
+    ["analyze", "--route", "lp", "--welfare", "set_covering"],  # setcov is the one spelling
 ])
 def test_malformed_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -261,3 +262,58 @@ def test_simulate_schedule_needs_finite_k(tmp_path, capsys):
 def test_bad_design_request_exit_code(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# One command per call site of the CLI's rule builder. Each expected last line
+# (or meta value) pins the tabulation lengths that call site uses.
+@pytest.mark.parametrize("argv,expected", [
+    (["design", "--design", "one_round", "--C", "0.5"], "16,0.6666666666666666"),
+    (["analyze", "--route", "closed-form", "--welfare", "setcov", "--design", "asymptotic", "--C", "1"],
+     "50,0.6321205588285576,False"),
+    (["analyze", "--route", "closed-form", "--welfare", "bent", "--C", ".5", "--design", "one_round"],
+     "50,0.7499999999999999,False"),
+    (["analyze", "--route", "one-round", "--welfare", "bent", "--C", ".5"], "50,0.6666666666666666,False"),
+    # c = curvature(w) moves with the length of the wta table
+    (["analyze", "--route", "one-round", "--welfare", "wta", "--design", "one_round"],
+     "50,0.3333333333333434,False"),
+    (["analyze", "--route", "lp", "--N", "5", "--welfare", "wta", "--design", "one_round"],
+     "5,0.35549431622459526,False"),
+    (["analyze", "--route", "lp", "--N", "5", "--welfare", "harmonic"], "5,0.6666666666666666,False"),
+])
+def test_rule_builder_call_sites_are_pinned(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("extra,key,expected", [
+    (["--kind", "poa_witness", "--N1", "3", "--N2", "12"], "poa", 0.5),
+    (["--kind", "stack_or_spread", "--n", "3", "--design", "pareto", "--chi", "1"], "target_ratio", 0.5),
+    (["--kind", "two_agent_worst_case", "--C", ".5"], "target_ratio", 0.75),
+])
+def test_construct_rule_call_sites_are_pinned(tmp_path, capsys, extra, key, expected):
+    out = tmp_path / "game.json"
+    assert main(["construct", *extra, "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".meta.json").read_text())[key] == expected
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5])
+def test_one_round_setcov_route_tabulates_f_to_jtrunc(capsys, c):
+    # the asymptotic tail is not exact, so f must be tabulated as far as it is summed
+    argv = ["analyze", "--route", "one-round", "--welfare", "setcov", "--design", "asymptotic", "--C", str(c)]
+    assert main(argv) == 0
+    expected = one_round_setcov(design_asymptotic(1, c, 10_000), 10_000)
+    assert capsys.readouterr().out.splitlines()[1] == f"10000,{expected!r},False"
+
+
+def test_simulate_inf_adversarial_refuses_out(tmp_path, capsys):
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
+    capsys.readouterr()
+    traj_path = tmp_path / "walk.jsonl"
+    argv = ["simulate", "--game", str(game_path), "--k", "inf", "--out", str(traj_path)]
+    assert main([*argv, "--tiebreak", "adversarial"]) == 2
+    assert "finds a state" in capsys.readouterr().err
+    assert not traj_path.exists()
+    assert main(argv) == 0  # the default tie rule walks, and writes the walk
+    recs = [json.loads(line) for line in traj_path.read_text().splitlines()]
+    assert recs and {"tau", "player", "action", "welfare", "potential"} <= set(recs[0])

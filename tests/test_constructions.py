@@ -98,6 +98,17 @@ def test_chain_small_and_large():
     assert welfare(con.game, con.meta["optimal_action"]) <= optimum(con.game)[1] + 1e-12
 
 
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_chain_reference_is_the_optimum_only_from_half_curvature(n):
+    for c in (0.5, 0.75, 1.0, 0.0, 0.25):
+        con = build_common_interest_chain(n, c)
+        ref, best = con.meta["optimal_welfare"], optimum(con.game)[1]
+        if c >= 0.5:
+            assert best == pytest.approx(ref, abs=1e-12), c
+        else:
+            assert best > ref + 1e-9, c
+
 def test_chain_matches_formula_small_n_multi_round():
     # at c = 0 every later agent is indifferent at every step, so the tie tree
     # only stays enumerable for moderate n once the walk runs several rounds
