@@ -215,14 +215,15 @@ def solve_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPSolution:
     duality gives Q = min over lam >= lam_min of max_j (c_j + lam h_j) / d_j
     over the columns with d_j > 0; the columns (0, 0, b), where d = 0, give
     lam_min = max_b w(b) / (b f(1)).  The status is "unbounded" when
-    f(1) <= TOL.  An optimum whose residuals exceed 1e-8, or whose dual value
-    at the basis's lam differs from q by more than 1e-12 max(1, q), raises
+    f(1) <= TOL w(1), a verdict that scaling w and f together leaves alone.
+    An optimum whose residuals exceed 1e-8, or whose dual value at the
+    basis's lam differs from q by more than 1e-12 max(1, q), raises
     RuntimeError.
     """
     inst = build_poa_lp(w, f, n)
     c, h, d = inst.objective, inst.nash_row, inst.norm_row
     theta = np.zeros(len(c))
-    if f.eval(1) <= TOL:
+    if f.eval(1) <= TOL * w.eval(1):
         status, q, gap = "unbounded", math.nan, 0.0
     else:
         vert = np.flatnonzero(d == 0.0)
@@ -248,10 +249,10 @@ def solve_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPSolution:
 
 
 def poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> float:
-    """n-agent price of anarchy 1/Q of w under f from the LP optimum Q."""
+    """n-agent price of anarchy 1/Q of w under f; a degenerate LP is a ValidationError."""
     sol = solve_poa_lp(w, f, n)
     if sol.status != "optimal":
-        raise RuntimeError(f"price-of-anarchy LP did not solve: {sol.status}")
+        raise ValidationError(f"price-of-anarchy LP did not solve: {sol.status}")
     return 1.0 / sol.q
 
 

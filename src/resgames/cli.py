@@ -16,6 +16,7 @@ from .analytics import (
     one_round_bound,
     one_round_setcov,
     poa_closed_form,
+    poa_lp,
     solve_poa_lp,
     theory_bounds,
 )
@@ -140,16 +141,19 @@ def _cmd_analyze(args):
             res = one_round_bound(w, f, args.jmax)
             lines.append(f"{args.jmax},{res.value!r},{res.truncated}")
     elif args.route == "lp":
-        w, f = _rules(args, args.N + 2)
-        sol = solve_poa_lp(w, f, args.N)
-        if sol.status != "optimal":
-            raise ValidationError(f"LP status: {sol.status}")
-        lines.append(f"{args.N},{1.0 / sol.q!r},False")
+        lines.append(f"{args.N},{poa_lp(*_rules(args, args.N + 2), args.N)!r},False")
     _emit(lines, args.out)
     return 0
 
 
 def _cmd_construct(args):
+    read = CONSTRUCT_READS[args.kind]
+    if args.kind == "two_agent_worst_case" and args.f_values is not None:
+        read = read - {"design", "b", "chi", "q"}  # --f-values is the rule
+    defaults = vars(build_parser().parse_args(["construct", f"--kind={args.kind}", f"--out={args.out}"]))
+    unread = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if k not in read and v != defaults[k]]
+    if unread:
+        raise ValidationError(f"--kind {args.kind} does not read {', '.join(unread)}")
     if args.kind in ("two_agent_worst_case", "ci_chain") and args.C is None:
         raise ValidationError(f"--kind {args.kind} needs the welfare curvature --C")
     if args.kind == "greedy_trap":
@@ -186,6 +190,16 @@ def _cmd_experiment(args):
     for p in paths:
         print(f"wrote {p}")
     return 0
+
+
+#: The flags each construct kind reads; a kind refuses any other flag not at its default.
+CONSTRUCT_READS = {
+    "greedy_trap": {"eps", "f_values"},
+    "two_agent_worst_case": {"C", "f_values", "design", "b", "chi", "q"},
+    "ci_chain": {"n", "C"},
+    "stack_or_spread": {"n", "design", "C", "b", "chi", "q"},
+    "poa_witness": {"N1", "N2", "welfare", "design", "C", "b", "chi", "q", "p"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=_cmd_analyze)
 
     con = sub.add_parser("construct", help="generate a worst-case game instance")
-    con.add_argument("--kind", required=True,
-                     choices=["greedy_trap", "two_agent_worst_case", "ci_chain",
-                              "stack_or_spread", "poa_witness"])
+    con.add_argument("--kind", required=True, choices=list(CONSTRUCT_READS))
     con.add_argument("--eps", type=float, default=0.1)
     con.add_argument("--n", type=int, default=3)
     con.add_argument("--N1", type=int, default=3)
@@ -261,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, EnumerationCapError) as exc:

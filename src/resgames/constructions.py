@@ -74,6 +74,7 @@ def build_two_agent_worst_case(c: float, f: UtilityRule) -> Construction:
     preferred.  Resources r1 and r2 are worth 1 and r3 is worth f(2), so the
     tie between r3 alone and a shared r1 is exact.
     """
+    w = make_welfare_rule("bent", 2, b=1, curvature=c)
     f2 = f.eval(2)
     if f2 <= 1.0 - c + 1e-12:
         case = "f2_below_floor"
@@ -81,7 +82,6 @@ def build_two_agent_worst_case(c: float, f: UtilityRule) -> Construction:
         case = "f2_moderate"
     else:
         case = "f2_above_one"
-    w = make_welfare_rule("bent", 2, b=1, curvature=c)
     # f(2) in [-TOL, 0) is a valid rule but not a valid resource value
     values = {"r1": 1.0, "r2": 1.0, "r3": max(f2, 0.0)}
     res = [Resource(rid, w, f, v) for rid, v in values.items()]

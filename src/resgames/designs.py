@@ -147,8 +147,10 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
     efficiency is 1/(1+chi) = q.  Tabulated via the split
         f(j) = (j-1)! (1 - chi (e-1)) + chi (j-1)! sum_{t>=j} 1/t!
     with the second term as a stable product series.  The argument given is
-    range-checked on its own scale to 1e-12; a first factor above -1e-12 is
-    then rounding at 1/(e-1), snapped to zero so the factorial cannot grow it.
+    range-checked on its own scale to 1e-12, chi in [1/(e-1), 1] or q in
+    [1/2, 1 - 1/e] (every chi >= 1 gives the rule (1, 0, 0, ...)); a first
+    factor above -1e-12 is then rounding at 1/(e-1), snapped to zero so the
+    factorial cannot grow it.
     """
     if (chi is None) == (q is None):
         raise ValidationError("give exactly one of chi or q")
@@ -158,8 +160,8 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
         if not 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP:
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")
         chi = (1.0 - q) / q
-    elif float(chi) < CHI_MIN - _SNAP:
-        raise ValidationError(f"chi must be at least 1/(e-1) ~ {CHI_MIN:.6f}")
+    elif not CHI_MIN - _SNAP <= float(chi) <= 1.0 + _SNAP:
+        raise ValidationError(f"chi must lie in [1/(e-1), 1] ~ [{CHI_MIN:.6f}, 1]")
     chi = float(chi)
     delta = 1.0 - chi * E_MINUS_1
     if delta > -_SNAP:
@@ -220,25 +222,24 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
     """Produce the utility rule a design assigns to the welfare rule ``w``,
     tabulated to ``j_max`` selectors where the design needs a length.
 
-    Designs are defined for rules with w(1) = 1; other rules are normalized
-    first and the resulting f is scaled back so f(1) = w(1).  Calls with
-    equal arguments share one immutable result, so the instances of an
-    experiment build and check each designed rule once.
+    The design uses w as given, with f(1) = w(1) exactly: common interest takes
+    w's increments, and the other families read the scale-free ``curvature(w)``
+    and scale their unit rule by w(1).  Equal calls share one immutable result,
+    so the instances of an experiment build and check each designed rule once.
     """
     if isinstance(spec, str):
         spec = DesignSpec(spec)
-    scale = w.values[0]
-    wn = w if abs(scale - 1.0) <= 1e-15 else w.scaled(1.0 / scale)
-    c = spec.c if spec.c is not None else curvature(wn)
     if spec.family == "common_interest":
-        f = design_common_interest(wn)
-    elif spec.family == "one_round":
+        return design_common_interest(w)
+    c = spec.c if spec.c is not None else curvature(w)
+    if spec.family == "one_round":
         f = design_one_round(c, j_max)
     elif spec.family == "asymptotic":
         f = design_asymptotic(spec.b, c, j_max)
     else:
         f = design_pareto_setcov(spec.chi, spec.q, j_max)
-    return f if abs(scale - 1.0) <= 1e-15 else f.scaled(scale)
+    scale = w.values[0]
+    return f if scale == 1.0 else f.scaled(scale)
 
 
 def apply_design(g: Game, spec: DesignSpec | str) -> Game:

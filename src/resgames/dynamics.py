@@ -494,11 +494,8 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     while split > 0 and block * sizes[split - 1] <= _BLOCK:
         split -= 1
         block *= sizes[split]
-    suffix = np.zeros((block, n_res), dtype=np.int64)
-    rem = np.arange(block)
-    for i in reversed(range(split, n)):
-        suffix += step[i][rem % sizes[i]]
-        rem //= sizes[i]
+    tail = np.unravel_index(np.arange(block), sizes[split:])  # C order: last player fastest
+    suffix = sum(step[i][k] for i, k in zip(range(split, n), tail))
     all_acts = np.concatenate(onehot).T
     heads = np.cumsum([0] + sizes[:-1])
     rows = max(1, _BATCH // max(block, max(sizes) * sum(sizes)))  # subtrees per batch
@@ -524,12 +521,7 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
         bound = score(offsets) + best_gains[:, d + 1:].sum(axis=1)
         for s in reversed(range(0, len(flat), rows)):
             stack.append((d + 1, offsets[s:s + rows], flat[s:s + rows], bound[s:s + rows]))
-    joint = []
-    rem = best_flat
-    for i in reversed(range(n)):
-        joint.append(rem % sizes[i])
-        rem //= sizes[i]
-    return tuple(reversed(joint)), best_w
+    return tuple(map(int, np.unravel_index(best_flat, sizes))), best_w
 
 
 def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -165,7 +166,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
     """
     _require(j_max >= 1, "j_max must be positive")
     if family == "bent":
-        _require(curvature is not None and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
+        _require(isinstance(curvature, Real) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
         _require(int(b) == b and b >= 1, "bent rule needs integer b >= 1")
         b = int(b)
         _require(j_max >= b, "bent rule needs j_max >= b so the constant tail is exact")
@@ -175,7 +176,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
     if family == "set_covering":
         return WelfareRule((1.0,) * j_max, 0.0, "set_covering")
     if family == "wta":
-        _require(p is not None and 0.0 < p <= 1.0, "wta rule needs hit probability p in (0, 1]")
+        _require(isinstance(p, Real) and 0.0 < p <= 1.0, "wta rule needs hit probability p in (0, 1]")
         q = 1.0 - float(p)
         vals = tuple(1.0 - q**j for j in range(1, j_max + 1))
         return WelfareRule(vals, float(p) * q**j_max, "wta")

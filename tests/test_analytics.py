@@ -164,6 +164,14 @@ def test_poa_lp_bent_common_interest():
     assert poa_lp(w, f, 8) == pytest.approx(1 / 1.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e3])
+def test_poa_lp_verdict_follows_the_rules_scale(scale):
+    # scaling w and f together leaves the LP's optimum, and its verdict, alone
+    w = make_welfare_rule("bent", 10, b=1, curvature=0.5)
+    f = design_common_interest(w)
+    assert poa_lp(w.scaled(scale), f.scaled(scale), 8) == pytest.approx(poa_lp(w, f, 8), rel=1e-12, abs=0)
+
+
 def test_poa_lp_solution_contract():
     wsc = make_welfare_rule("set_covering", 10)
     sol = solve_poa_lp(wsc, make_utility_rule((1.0, 0.0)), 8)

@@ -317,3 +317,35 @@ def test_simulate_inf_adversarial_refuses_out(tmp_path, capsys):
     assert main(argv) == 0  # the default tie rule walks, and writes the walk
     recs = [json.loads(line) for line in traj_path.read_text().splitlines()]
     assert recs and {"tau", "player", "action", "welfare", "potential"} <= set(recs[0])
+
+
+@pytest.mark.parametrize("extra,unread", [
+    (["--kind", "stack_or_spread", "--n", "3", "--welfare", "wta", "--design", "one_round"], "--welfare"),
+    (["--kind", "ci_chain", "--n", "3", "--C", ".5", "--design", "asymptotic", "--welfare", "harmonic"],
+     "--design, --welfare"),
+    (["--kind", "greedy_trap", "--design", "pareto", "--chi", "5", "--p", "0.3", "--N1", "7"],
+     "--N1, --design, --chi, --p"),
+    (["--kind", "two_agent_worst_case", "--C", ".5", "--f-values", "1,0.5", "--design", "pareto"], "--design"),
+], ids=["stack_or_spread", "ci_chain", "greedy_trap", "two_agent-f_values"])
+def test_construct_refuses_flags_its_kind_does_not_read(tmp_path, capsys, extra, unread):
+    out = tmp_path / "game.json"
+    assert main(["construct", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --kind {extra[1]} does not read {unread}\n"
+    assert not out.exists()
+
+
+def test_unwritable_output_path_is_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--out", str(game_path)])
+    capsys.readouterr()
+    assert main(["experiment", "--out-dir", str(blocker / "out"), "--format", "csv"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {blocker / 'out'}")
+    assert main(["simulate", "--game", str(game_path), "--out", str(blocker / "w.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pareto_chi_above_one_is_refused(capsys):
+    assert main(["design", "--design", "pareto", "--chi", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: chi must lie in [1/(e-1), 1]")

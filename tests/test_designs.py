@@ -183,6 +183,23 @@ def test_resolve_design_scales_to_rule():
     assert f_ci.values[1] == pytest.approx(w.values[1] - w.values[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.7, 0.123])
+def test_resolved_common_interest_is_the_direct_design_to_the_bit(p):
+    # at a w(1) that is not a power of two, a rescale there and back moves ulps
+    w = make_welfare_rule("wta", 10, p=p)
+    f, direct = resolve_design(DesignSpec("common_interest"), w, 10), design_common_interest(w)
+    assert [v.hex() for v in f.values] == [v.hex() for v in direct.values]
+    assert f.tail_value.hex() == direct.tail_value.hex()
+
+
+@pytest.mark.parametrize("family", ["common_interest", "one_round", "asymptotic"])
+@pytest.mark.parametrize("p", [2e-9, 3e-9])
+def test_designs_use_a_small_scale_rule_as_given(p, family):
+    # w(1) ~ p: a copy of w at unit scale fails the absolute 1e-9 concavity check
+    w = make_welfare_rule("wta", 10, p=p)
+    assert resolve_design(DesignSpec(family), w, 10).values[0] == w.values[0]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"family": "optimal"},
     {"family": None},
@@ -243,6 +260,15 @@ def test_pareto_endpoint_has_one_tolerance():
     for q in (1 - 1 / E + 2e-12, 0.5 - 2e-12):
         with pytest.raises(ValidationError, match="^q"):
             design_pareto_setcov(q=q)
+
+
+def test_pareto_chi_and_q_cover_the_same_range():
+    # every chi >= 1 gives (1, 0, 0, ...), whose efficiency is 1/2, not 1/(1+chi)
+    assert design_pareto_setcov(chi=1.0, j_max=6).values == (1.0,) + (0.0,) * 5
+    assert design_pareto_setcov(chi=1.0 + 1e-12, j_max=6).values == (1.0,) + (0.0,) * 5
+    for chi in (1.5, 2.0, 5.0, 1.0 + 2e-12):
+        with pytest.raises(ValidationError, match=r"^chi must lie in \[1/\(e-1\), 1\]"):
+            design_pareto_setcov(chi=chi)
 
 
 def test_frontier_on_the_benchmark_grid_is_pinned_to_the_bit():

@@ -579,3 +579,10 @@ def test_chain_worst_walk_gathers_match_one_state_sums():
     _, traj = adversarial_min_welfare(g, 1)
     assert 2000 * g.n_resources > dynamics._GATHER
     _assert_steps_score_their_states(g, traj, 2000)
+
+
+def test_walk_to_nash_stops_at_its_step_ceiling(trap_ci, monkeypatch):
+    monkeypatch.setattr(dynamics, "_WALK_STEP_CEILING", 1)
+    with pytest.raises(EnumerationCapError) as exc:
+        walk_to_nash(trap_ci)
+    assert (exc.value.cap, exc.value.explored) == (1, 0)

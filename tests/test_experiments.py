@@ -159,3 +159,18 @@ def test_config_validation_and_round_trip():
         ExperimentConfig(action_width=20, n_targets=10)
     cfg = ExperimentConfig.from_dict(SMALL.to_dict())
     assert cfg == SMALL
+
+
+def test_load_raw_csv_refuses_a_wrong_header(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("instance,design,round,welfare\n0,ci,1,1.0\n")
+    with pytest.raises(ValidationError, match="unexpected raw csv header: instance,design,round,welfare"):
+        load_raw_csv(path)
+
+
+def test_export_under_a_regular_file_names_the_directory(tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    res = run_experiment(ExperimentConfig(n_agents=2, n_targets=3, n_instances=1, rounds=1))
+    with pytest.raises(OSError, match="cannot create output directory .*F/out"):
+        export_result(res, "csv", blocker / "out")

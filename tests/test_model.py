@@ -129,6 +129,15 @@ def test_utility_mc_examples():
     assert utility_mc(g_ci, (0, 1), 0) == 0.0
 
 
+def test_eval_past_the_table_is_the_tabulated_tail():
+    w = make_welfare_rule("wta", 3, p=0.3)
+    f = UtilityRule((1.0, 0.4), 0.25)
+    for rule in (w, f):
+        for j in range(rule.j_max + 1, rule.j_max + 5):
+            assert rule.eval(j) == rule.table(j)[j]
+    assert (w.eval(5), f.eval(5)) == (w.values[-1] + 2 * w.tail_slope, 0.25)
+
+
 def test_utility_rule_invariants():
     with pytest.raises(ValidationError):
         make_utility_rule((1.0, 1.2))
