@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -267,7 +268,7 @@ def _norm_rounds(k) -> float:
         return 1.0
     if k in ("infinity", "inf", math.inf):
         return math.inf
-    if isinstance(k, int) and k > 1:
+    if isinstance(k, Integral) and k > 1:
         return float(k)
     raise ValidationError(f"cannot interpret round count {k!r}")
 

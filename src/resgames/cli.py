@@ -79,6 +79,28 @@ def walk_rounds(text):
     return math.inf if text == "inf" else int(text)
 
 
+def _check_output_path(path, directory=False):
+    """Raises OSError when the nearest existing ancestor of ``path`` (``path``
+    itself counts for a directory) is not a directory.  Creates nothing."""
+    p = Path(path).absolute()
+    near = next(a for a in ([p] if directory else []) + list(p.parents) if a.exists())
+    if not near.is_dir():
+        what = "create output directory" if directory else "write"
+        raise OSError(f"cannot {what} {path}: {near} is not a directory")
+
+
+def _refuse_unread(args, read):
+    """Raises unless every flag outside ``read`` is at its default for the
+    command's --kind or --route."""
+    selector = "kind" if args.command == "construct" else "route"
+    choice = getattr(args, selector)
+    argv = [args.command, f"--{selector}={choice}"] + ([f"--out={args.out}"] if args.out is not None else [])
+    defaults = vars(build_parser().parse_args(argv))
+    unread = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if k not in read and v != defaults[k]]
+    if unread:
+        raise ValidationError(f"--{selector} {choice} does not read {', '.join(unread)}")
+
+
 def _emit(lines, out):
     data = "\n".join(lines) + "\n"
     if out in (None, "-"):
@@ -88,6 +110,8 @@ def _emit(lines, out):
 
 
 def _cmd_simulate(args):
+    if args.out:
+        _check_output_path(args.out)
     g = io.load_game(args.game)
     tb = INCUMBENT_THEN_LEX if args.tiebreak == "incumbent" else args.tiebreak
     if args.k == math.inf and args.schedule is None:
@@ -119,6 +143,7 @@ def _cmd_design(args):
 
 
 def _cmd_analyze(args):
+    _refuse_unread(args, READS[args.route])
     lines = ["parameter,value,truncation_flag"]
     if args.route == "bounds":
         for c in args.C_grid:
@@ -147,13 +172,11 @@ def _cmd_analyze(args):
 
 
 def _cmd_construct(args):
-    read = CONSTRUCT_READS[args.kind]
+    _check_output_path(args.out)
+    read = READS[args.kind]
     if args.kind == "two_agent_worst_case" and args.f_values is not None:
         read = read - {"design", "b", "chi", "q"}  # --f-values is the rule
-    defaults = vars(build_parser().parse_args(["construct", f"--kind={args.kind}", f"--out={args.out}"]))
-    unread = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if k not in read and v != defaults[k]]
-    if unread:
-        raise ValidationError(f"--kind {args.kind} does not read {', '.join(unread)}")
+    _refuse_unread(args, read)
     if args.kind in ("two_agent_worst_case", "ci_chain") and args.C is None:
         raise ValidationError(f"--kind {args.kind} needs the welfare curvature --C")
     if args.kind == "greedy_trap":
@@ -184,6 +207,7 @@ def _cmd_construct(args):
 
 
 def _cmd_experiment(args):
+    _check_output_path(args.out_dir, directory=True)
     cfg = ExperimentConfig.from_dict(io.load_json(args.config)) if args.config else ExperimentConfig()
     res = run_experiment(cfg)
     paths = export_result(res, args.format, args.out_dir)
@@ -192,13 +216,20 @@ def _cmd_experiment(args):
     return 0
 
 
-#: The flags each construct kind reads; a kind refuses any other flag not at its default.
-CONSTRUCT_READS = {
+_DESIGN_FLAGS = {"design", "C", "b", "chi", "q", "p"}
+
+#: The flags each construct kind and analyze route reads; each refuses any other flag not at its default.
+READS = {
     "greedy_trap": {"eps", "f_values"},
     "two_agent_worst_case": {"C", "f_values", "design", "b", "chi", "q"},
     "ci_chain": {"n", "C"},
     "stack_or_spread": {"n", "design", "C", "b", "chi", "q"},
-    "poa_witness": {"N1", "N2", "welfare", "design", "C", "b", "chi", "q", "p"},
+    "poa_witness": {"N1", "N2", "welfare", *_DESIGN_FLAGS},
+    "closed-form": {"welfare", "n", "jmax", *_DESIGN_FLAGS},
+    "lp": {"welfare", "N", *_DESIGN_FLAGS},
+    "frontier": {"Q_grid", "jtrunc"},
+    "bounds": {"C_grid", "k", "design"},
+    "one-round": {"welfare", "jmax", "jtrunc", *_DESIGN_FLAGS},
 }
 
 
@@ -250,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=_cmd_analyze)
 
     con = sub.add_parser("construct", help="generate a worst-case game instance")
-    con.add_argument("--kind", required=True, choices=list(CONSTRUCT_READS))
+    con.add_argument("--kind", required=True,
+                     choices=["greedy_trap", "two_agent_worst_case", "ci_chain", "stack_or_spread", "poa_witness"])
     con.add_argument("--eps", type=float, default=0.1)
     con.add_argument("--n", type=int, default=3)
     con.add_argument("--N1", type=int, default=3)

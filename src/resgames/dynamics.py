@@ -59,7 +59,8 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class Step:
-    tau: int
+    """One move of a walk; its tau is its 1-based position in ``Trajectory.steps``."""
+
     player: int
     action: int
     welfare: float
@@ -92,19 +93,13 @@ def round_robin_schedule(n_players: int, k: int) -> tuple[int, ...]:
 
 def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[int, ...]:
     """The walk's steps, ``schedule`` or else k round-robin rounds; k must be a positive integer."""
-    if schedule is not None and k == math.inf:
-        raise ValidationError("a schedule needs a finite k")
     if not isinstance(k, Integral) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     if schedule is None:
         return round_robin_schedule(g.n_players, k)
-    if not all(isinstance(i, Integral) for i in schedule):
-        raise ValidationError("schedule entries must be integer player indices")
-    sched = tuple(int(i) for i in schedule)
+    sched = tuple(int(g.validate_player(i)) for i in schedule)
     if not sched:
         raise ValidationError("schedule must be nonempty")
-    if any(i < 0 or i >= g.n_players for i in sched):
-        raise ValidationError("schedule contains invalid player indices")
     return sched
 
 
@@ -133,7 +128,7 @@ def is_nash(g: Game, a: Sequence[int]) -> bool:
     return all(a[i] in _ties(g, counts, i, a[i]) for i in range(g.n_players))
 
 
-def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_offset: int = 0) -> Trajectory:
+def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Trajectory:
     """The walk from ``start`` in which ``choose(t, i, joint, counts)`` picks
     the action of ``schedule[t]``; ``joint`` and ``counts`` are the state
     before the move and must not be changed.
@@ -172,8 +167,7 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose, tau_of
             wel += wtab[cols, block].sum(axis=1).tolist()
             pot += cumtab[cols, block].sum(axis=1).tolist()
             base, left, entered = block[-1].copy(), [], []  # a view would keep the block alive
-    taus = range(tau_offset + 1, tau_offset + len(schedule) + 1)
-    return Trajectory(start, tuple(map(Step, taus, schedule, acts, wel, pot)), tuple(joint))
+    return Trajectory(start, tuple(map(Step, schedule, acts, wel, pot)), tuple(joint))
 
 
 def _deterministic(g: Game, tie_break: str):
@@ -255,10 +249,9 @@ class _AdversarialSearch:
         """Puts ``joint``, ``counts`` and ``S`` at the null allocation."""
         null = self.g.null_action
         self.joint = list(null)
-        self.counts = selection_counts(self.g, null).tolist()
+        self.counts = [0] * self.g.n_resources  # the null allocation's
         # a memoryview: item updates and slice bytes cost less than on the array
-        self.S = memoryview(np.array([null[i] for i in self.players]
-                                     + [self.counts[r] for r in self.res_order], dtype=self.dtype))
+        self.S = memoryview(np.array([null[i] for i in self.players] + self.counts, dtype=self.dtype))
 
     def _set(self, i: int, a: int) -> None:
         """Moves player i to action ``a`` in ``joint``, ``counts`` and ``S``."""
@@ -379,12 +372,10 @@ def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
     choose = _deterministic(g, tie_break)
     all_steps: list[Step] = []
     state = g.null_action
-    taken = 0
     while True:
-        if taken + n > _WALK_STEP_CEILING:
-            raise EnumerationCapError(taken, _WALK_STEP_CEILING, None)
-        traj = _walk(g, state, one_round, choose, taken)
-        taken += n
+        if len(all_steps) + n > _WALK_STEP_CEILING:
+            raise EnumerationCapError(len(all_steps), _WALK_STEP_CEILING, None)
+        traj = _walk(g, state, one_round, choose)
         all_steps.extend(traj.steps)
         if traj.final == state:
             return Trajectory(g.null_action, tuple(all_steps), traj.final)

@@ -100,9 +100,9 @@ def load_game(path: str | Path) -> Game:
 def trajectory_to_jsonl(g: Game, traj: Trajectory, path: str | Path) -> None:
     """One record per step: {tau, player, action, welfare, potential}."""
     with Path(path).open("w") as fh:
-        for step in traj.steps:
+        for tau, step in enumerate(traj.steps, 1):
             rec = {
-                "tau": step.tau,
+                "tau": tau,
                 "player": step.player,
                 "action": sorted(g.actions[step.player][step.action]),
                 "welfare": step.welfare,

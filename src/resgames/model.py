@@ -250,13 +250,9 @@ class Game:
         return len(self.resources)
 
     @cached_property
-    def rid_index(self) -> dict[str, int]:
-        return {r.rid: k for k, r in enumerate(self.resources)}
-
-    @cached_property
     def action_resources(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per player, per action: sorted resource indices."""
-        idx = self.rid_index
+        idx = {r.rid: k for k, r in enumerate(self.resources)}
         return tuple(
             tuple(tuple(sorted(idx[rid] for rid in a)) for a in acts)
             for acts in self.actions
@@ -327,7 +323,7 @@ class Game:
         object.__setattr__(g, "resources", tuple(
             Resource(r.rid, r.welfare, f, r.value) for r, f in zip(self.resources, rules, strict=True)))
         object.__setattr__(g, "actions", self.actions)
-        for name in ("rid_index", "action_resources", "null_action", "max_selectors", "welfare_tables"):
+        for name in ("action_resources", "null_action", "max_selectors", "welfare_tables"):
             g.__dict__[name] = getattr(self, name)
         return g
 

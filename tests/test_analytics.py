@@ -229,6 +229,18 @@ def test_theory_bounds_values():
         theory_bounds(1.5, "one", "optimal")
 
 
+
+@pytest.mark.parametrize("design", ["optimal", "common_interest", "asymptotic_one_round"])
+def test_theory_bounds_take_numpy_integer_rounds(design):
+    # as every walk entry point does
+    for c in (0.0, 0.5, 1.0):
+        assert theory_bounds(c, np.int64(1), design) == theory_bounds(c, "one", design)
+        if design != "asymptotic_one_round":
+            assert theory_bounds(c, np.int64(2), design) == theory_bounds(c, 2, design)
+    with pytest.raises(ValidationError, match="cannot interpret round count 2.0"):
+        theory_bounds(0.5, 2.0, design)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 15), st.sampled_from(["set_covering", "harmonic", "wta"]),
        st.lists(st.floats(0, 1), min_size=1, max_size=18), st.floats(0, 1))

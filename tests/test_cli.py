@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from resgames import design_asymptotic, io, one_round_setcov, reachable_nash_min
+from resgames import cli, design_asymptotic, io, one_round_setcov, reachable_nash_min
 from resgames.cli import main
 
 
@@ -349,3 +352,64 @@ def test_unwritable_output_path_is_exit_2(tmp_path, capsys):
 def test_pareto_chi_above_one_is_refused(capsys):
     assert main(["design", "--design", "pareto", "--chi", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: chi must lie in [1/(e-1), 1]")
+
+
+def test_analyze_refuses_flags_its_route_does_not_read(capsys):
+    argv = ["analyze", "--route", "bounds", "--welfare", "wta", "--N", "9", "--Q-grid", "0.6",
+            "--C-grid", ".5", "--design", "optimal"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --route bounds does not read --Q-grid, --N, --welfare\n")
+    assert main(["analyze", "--route", "frontier", "--Q-grid", "0.55", "--design", "one_round"]) == 2
+    assert "does not read --design" in capsys.readouterr().err
+
+
+def test_read_flag_table_covers_every_kind_and_route():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, dest):
+        return next(a.choices for a in subs[command]._actions if a.dest == dest)
+
+    assert list(cli.READS) == [*choices("construct", "kind"), *choices("analyze", "route")]
+
+
+def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--out", str(game_path)])
+    capsys.readouterr()
+    cases = [
+        ("run_experiment", ["experiment", "--out-dir", str(blocker / "out")],
+         f"error: cannot create output directory {blocker / 'out'}"),
+        ("run_experiment", ["experiment", "--out-dir", str(blocker)],
+         f"error: cannot create output directory {blocker}"),
+        ("k_round_walk", ["simulate", "--game", str(game_path), "--out", str(blocker / "w.jsonl")],
+         f"error: cannot write {blocker / 'w.jsonl'}"),
+        ("build_greedy_trap", ["construct", "--kind", "greedy_trap", "--out", str(blocker / "g.json")],
+         f"error: cannot write {blocker / 'g.json'}"),
+    ]
+    for work, argv, message in cases:
+        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran before the path check"))
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "trap.json", "trap.meta.json"]
+
+
+def test_missing_config_creates_no_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", "missing.json", "--out-dir", "new"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read missing.json")
+    assert not (tmp_path / "new").exists()
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith(("resgames design ", "resgames analyze "))]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_design_and_analyze_examples_run(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(("j,f_j", "parameter,value"))

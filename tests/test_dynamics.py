@@ -32,6 +32,7 @@ from resgames import (
     optimum,
     reachable_nash_min,
     round_robin_schedule,
+    trajectory_to_jsonl,
     utility_full,
     utility_mc,
     walk_to_nash,
@@ -262,6 +263,30 @@ def test_efficiency_adversarial_is_the_search_over_the_optimum(rng):
             assert efficiency(g, k, ADVERSARIAL) == adversarial_min_welfare(g, k)[0] / opt
         assert efficiency(g, math.inf, ADVERSARIAL) == reachable_nash_min(g)[0] / opt
 
+
+
+
+@pytest.mark.parametrize("schedule, entry", [([0, 5], "5"), ([1.7], "1.7")])
+def test_schedule_entries_are_checked_as_player_indices(trap_ci, schedule, entry):
+    from resgames import ValidationError
+
+    for walk in (k_round_walk, adversarial_min_welfare):
+        with pytest.raises(ValidationError, match=rf"^player index {entry} is not in \[0, 2\)$"):
+            walk(trap_ci, 1, schedule=schedule)
+    with pytest.raises(ValidationError, match=r"^k must be a positive integer, got inf$"):
+        k_round_walk(trap_ci, math.inf, schedule=[0, 1])
+
+def test_numpy_schedule_walks_equal_list_schedule_walks(trap_ci, tmp_path):
+    # the entries are read as Python ints, so the JSONL records match byte for byte
+    for walk in (lambda s: k_round_walk(trap_ci, 1, schedule=s),
+                 lambda s: adversarial_min_welfare(trap_ci, 1, schedule=s)[1]):
+        texts = []
+        for sched in (np.array([1, 0]), [1, 0]):
+            traj = walk(sched)
+            assert all(type(s.player) is int for s in traj.steps)
+            trajectory_to_jsonl(trap_ci, traj, tmp_path / "w.jsonl")
+            texts.append((tmp_path / "w.jsonl").read_bytes())
+        assert texts[0] == texts[1]
 
 def _zero_welfare_game():
     w = make_welfare_rule("set_covering", 1)

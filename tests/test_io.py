@@ -3,16 +3,20 @@ import json
 import pytest
 
 from resgames import (
+    ExperimentConfig,
+    apply_design,
     build_poa_witness,
     design_common_interest,
     game_from_dict,
     game_to_dict,
+    gen_wta,
     k_round_walk,
     load_game,
     make_welfare_rule,
     save_game,
     solve_poa_lp,
     trajectory_to_jsonl,
+    walk_to_nash,
     welfare,
 )
 from resgames.constructions import build_greedy_trap, build_two_agent_worst_case
@@ -91,3 +95,15 @@ def test_trajectory_jsonl(tmp_path):
     assert [r["tau"] for r in recs] == [1, 2, 3, 4]
     assert recs[0]["action"] == ["r2"]
     assert recs[-1]["welfare"] == pytest.approx(1.2, abs=1e-12)
+
+
+def test_multi_round_walk_numbers_its_steps_by_position(tmp_path):
+    # walk_to_nash joins one-round walks; tau counts on across round boundaries
+    g = apply_design(gen_wta(ExperimentConfig(), 0), "one_round")
+    traj = walk_to_nash(g)
+    path = tmp_path / "nash.jsonl"
+    trajectory_to_jsonl(g, traj, path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(recs) == 3 * g.n_players == 30
+    assert [r["tau"] for r in recs] == list(range(1, 31))
+    assert [r["player"] for r in recs] == list(range(g.n_players)) * 3
