@@ -143,7 +143,11 @@ def _cmd_design(args):
 
 
 def _cmd_analyze(args):
-    _refuse_unread(args, READS[args.route])
+    setcov = args.welfare == "setcov"
+    read = READS[args.route]
+    if args.route in ("one-round", "closed-form"):  # set covering tabulates to --jtrunc or --n + 2, never to --jmax
+        read = read - {"jmax" if setcov else "jtrunc"}
+    _refuse_unread(args, read)
     lines = ["parameter,value,truncation_flag"]
     if args.route == "bounds":
         for c in args.C_grid:
@@ -154,12 +158,11 @@ def _cmd_analyze(args):
             pt = frontier_setcov(q, args.jtrunc)
             lines.append(f"{q!r},{pt.one_round!r},False")
     elif args.route == "closed-form":
-        w, f = _rules(args, max(args.n + 2, args.jmax))
+        w, f = _rules(args, args.n + 2 if setcov else max(args.n + 2, args.jmax))
         res = poa_closed_form(w, f, args.welfare, n=args.n, j_max=args.jmax)
         lines.append(f"{args.n},{res.value!r},{res.truncated}")
     elif args.route == "one-round":
-        setcov = args.welfare == "setcov"  # the set-covering route sums f to --jtrunc
-        w, f = _rules(args, args.jmax, args.jtrunc if setcov else args.jmax + 2)
+        w, f = _rules(args, args.jtrunc) if setcov else _rules(args, args.jmax, args.jmax + 2)
         if setcov:
             lines.append(f"{args.jtrunc},{one_round_setcov(f, args.jtrunc)!r},False")
         else:

@@ -86,8 +86,10 @@ def design_one_round(c: float, j_max: int = 8) -> UtilityRule:
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("curvature must lie in [0, 1]")
+    if j_max < 1:
+        raise ValidationError("j_max must be positive")
     f2 = (2.0 - 2.0 * c) / (2.0 - c)
-    vals = (1.0,) + (f2,) * max(j_max - 1, 1)
+    vals = (1.0,) + (f2,) * (j_max - 1)
     return make_utility_rule(vals, f2)
 
 

@@ -92,9 +92,13 @@ def round_robin_schedule(n_players: int, k: int) -> tuple[int, ...]:
 
 
 def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[int, ...]:
-    """The walk's steps, ``schedule`` or else k round-robin rounds; k must be a positive integer."""
+    """The walk's steps, ``schedule`` or else k round-robin rounds; k must be a
+    positive integer, and a walk of more than 10**6 steps is refused unbuilt."""
     if not isinstance(k, Integral) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
+    steps = int(k) * g.n_players if schedule is None else len(schedule)
+    if steps > _WALK_STEP_CEILING:
+        raise ValidationError(f"a walk of {steps} steps exceeds the {_WALK_STEP_CEILING}-step ceiling")
     if schedule is None:
         return round_robin_schedule(g.n_players, k)
     sched = tuple(int(g.validate_player(i)) for i in schedule)

@@ -172,22 +172,28 @@ def highs_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> tuple[LPSolution, fl
     simplex, to a basic optimal solution; an optimum whose residuals exceed
     1e-8 raises RuntimeError.
 
+    HiGHS solves the equivalent LP whose Nash row is divided by its largest
+    magnitude (1.0 when that is 0), so a rule of tiny f still has unit-scale
+    coefficients, at primal and dual feasibility tolerances of 1e-10.
+
     Also returns the upper bound on the optimum that HiGHS's dual certifies
-    (nan unless optimal).  HiGHS stops within its 1e-7 feasibility
-    tolerances, so its q can sit below the optimum (a dual slightly
-    infeasible, bound > q) or above it (a Nash row violated by up to about
-    1e-10, bound < q) by more than rounding."""
+    (nan unless optimal).  HiGHS stops within its feasibility tolerances, so
+    its q can sit below the optimum (a dual slightly infeasible, bound > q)
+    or above it (a Nash row slightly violated, bound < q) by more than
+    rounding."""
     from scipy.optimize import linprog
 
     inst = build_poa_lp(w, f, n)
+    scale = float(np.abs(inst.nash_row).max()) or 1.0
     res = linprog(
         -inst.objective,
-        A_ub=-inst.nash_row[None, :],
+        A_ub=-inst.nash_row[None, :] / scale,
         b_ub=[0.0],
         A_eq=inst.norm_row[None, :],
         b_eq=[1.0],
         bounds=(0.0, None),
         method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
     theta = res.x if res.x is not None else np.zeros(len(inst.variables))
@@ -202,7 +208,7 @@ def highs_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> tuple[LPSolution, fl
     bound = math.nan
     if status == "optimal":  # any lam >= max_b w(b) / (b f(1)) is dual feasible
         c, h, d = inst.objective, inst.nash_row, inst.norm_row
-        lam = max(-float(res.ineqlin.marginals[0]), float((c[d == 0] / -h[d == 0]).max()))
+        lam = max(-float(res.ineqlin.marginals[0]) / scale, float((c[d == 0] / -h[d == 0]).max()))
         bound = float(((c[d > 0] + lam * h[d > 0]) / d[d > 0]).max())
     return LPSolution(status, q, theta, residuals, inst), bound
 

@@ -45,6 +45,7 @@ def _no_active_variables():
     (lambda: theory_bounds(0.5, 2, "asymptotic_one_round"), "is a one-round guarantee"),
     (lambda: theory_bounds(0.5, "one", "bogus"), "unknown design 'bogus'"),
     (lambda: design_one_round(1.5), "curvature must lie in [0, 1]"),
+    (lambda: design_one_round(0.5, 0), "j_max must be positive"),
     (lambda: design_asymptotic(0, 0.5, 8), "b must be an integer >= 1"),
     (lambda: design_asymptotic(1, 1.5, 8), "curvature must lie in [0, 1]"),
     (lambda: design_asymptotic(1, 0.5, 1), "j_max must be at least 2"),
@@ -63,9 +64,9 @@ def _no_active_variables():
     (lambda: ExperimentConfig(p_hit=0.0), "p_hit must lie in (0, 1]"),
 ], ids=["one_round_bound-y_max", "one_round_setcov-j_trunc", "closed_form-setcov-n",
         "closed_form-bent-rising_f", "closed_form-family", "poa_lp-n", "theory_bounds-rounds",
-        "theory_bounds-design", "design_one_round-c", "design_asymptotic-b", "design_asymptotic-c",
-        "design_asymptotic-j_max", "welfare-family", "welfare-wta_p_str", "chain-n", "chain-c",
-        "two_agent-c", "two_agent-c_none", "two_agent-c_str", "witness-unbounded", "witness-n2",
+        "theory_bounds-design", "design_one_round-c", "design_one_round-j_max", "design_asymptotic-b",
+        "design_asymptotic-c", "design_asymptotic-j_max", "welfare-family", "welfare-wta_p_str", "chain-n",
+        "chain-c", "two_agent-c", "two_agent-c_none", "two_agent-c_str", "witness-unbounded", "witness-n2",
         "witness-no_active", "poa_lp-unbounded", "config-seed", "config-p_hit"])
 def test_bad_input_fails_at_its_one_check(call, fragment):
     with pytest.raises(ValidationError) as exc:

@@ -107,6 +107,12 @@ def test_analyze_frontier(capsys):
     assert rc == 0
     line = capsys.readouterr().out.strip().splitlines()[1]
     assert float(line.split(",")[1]) == 0.5
+    # the whole curve, q = 1/2 to 1 - 1/e
+    assert main(["analyze", "--route", "frontier", "--Q-grid", "0.5:0.6321205588285577:0.005", "--jtrunc", "200"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 27 and rows[0] == "0.5,0.5,False"
+    values = [float(row.split(",")[1]) for row in rows]
+    assert values == sorted(values, reverse=True)
 
 
 def test_experiment_cli(tmp_path, capsys):
@@ -121,6 +127,13 @@ def test_experiment_cli(tmp_path, capsys):
     raw = (tmp_path / "out" / "raw.csv").read_text().splitlines()
     assert raw[0] == "instance,design,round,welfare,normalized_welfare"
     assert len(raw) == 1 + 3 * 2
+    # the default config, every format
+    assert main(["experiment", "--out-dir", str(tmp_path / "default"), "--format", "both"]) == 0
+    raw = (tmp_path / "default" / "raw.csv").read_text().splitlines()
+    assert raw[0] == "instance,design,round,welfare,normalized_welfare"
+    assert len(raw) == 1 + 100 * 3 * 5  # default instances x designs x rounds
+    assert (tmp_path / "default" / "summary.csv").exists()
+    assert (tmp_path / "default" / "result.json").exists()
 
 
 def test_construct_all_kinds(tmp_path, capsys):
@@ -243,6 +256,15 @@ def test_analyze_bounds_integer_rounds(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_simulate_refuses_a_walk_past_the_step_ceiling(tmp_path, capsys):
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
+    capsys.readouterr()
+    for tiebreak in ("incumbent", "adversarial"):
+        assert main(["simulate", "--game", str(game_path), "--k", "1000000000000", "--tiebreak", tiebreak]) == 2
+        assert capsys.readouterr().err == "error: a walk of 2000000000000 steps exceeds the 1000000-step ceiling\n"
+
+
 def test_simulate_schedule_needs_finite_k(tmp_path, capsys):
     game_path = tmp_path / "trap.json"
     main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
@@ -282,6 +304,9 @@ def test_bad_design_request_exit_code(capsys, argv):
     (["analyze", "--route", "lp", "--N", "5", "--welfare", "wta", "--design", "one_round"],
      "5,0.35549431622459526,False"),
     (["analyze", "--route", "lp", "--N", "5", "--welfare", "harmonic"], "5,0.6666666666666666,False"),
+    (["design", "--design", "one_round", "--C", "0.5", "--jmax", "1"], "1,1.0"),  # exactly --jmax rows
+    (["analyze", "--route", "closed-form", "--welfare", "setcov", "--design", "asymptotic"],
+     "50,0.6321205588285576,False"),
 ])
 def test_rule_builder_call_sites_are_pinned(capsys, argv, expected):
     assert main(argv) == 0
@@ -363,6 +388,16 @@ def test_analyze_refuses_flags_its_route_does_not_read(capsys):
     assert "does not read --design" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["--route", "one-round", "--welfare", "setcov", "--jmax", "20"], "--jmax"),
+    (["--route", "one-round", "--welfare", "bent", "--C", ".5", "--jtrunc", "20"], "--jtrunc"),
+    (["--route", "closed-form", "--welfare", "setcov", "--jmax", "20"], "--jmax"),
+], ids=["one-round-setcov", "one-round-bent", "closed-form-setcov"])
+def test_analyze_refuses_the_truncation_flag_its_family_does_not_read(capsys, argv, unread):
+    assert main(["analyze", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: --route {argv[1]} does not read {unread}\n")
+
+
 def test_read_flag_table_covers_every_kind_and_route():
     subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
@@ -413,3 +448,11 @@ def _readme_cli_lines():
 def test_readme_design_and_analyze_examples_run(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith(("j,f_j", "parameter,value"))
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "0.6321205588285576", "0.75", "0.75", "0.8333333333333333", "0.8333333333333333"]

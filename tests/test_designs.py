@@ -70,6 +70,15 @@ def test_one_round_values():
     assert all(v == 1.0 for v in design_one_round(0.0).values)
 
 
+def test_one_round_tabulates_exactly_j_max_values():
+    for j_max in (1, 2, 8):
+        f = design_one_round(0.5, j_max)
+        assert f.values == (1.0,) + (2 / 3,) * (j_max - 1)
+        assert f.tail_value == 2 / 3
+    with pytest.raises(ValidationError, match="j_max must be positive"):
+        design_one_round(0.5, 0)
+
+
 def test_asymptotic_constants():
     f = design_asymptotic(1, 1.0, 16)
     assert f.values[0] == 1.0

@@ -611,3 +611,28 @@ def test_walk_to_nash_stops_at_its_step_ceiling(trap_ci, monkeypatch):
     with pytest.raises(EnumerationCapError) as exc:
         walk_to_nash(trap_ci)
     assert (exc.value.cap, exc.value.explored) == (1, 0)
+
+
+def test_walks_past_the_step_ceiling_are_refused_unbuilt(trap_ci, monkeypatch):
+    from resgames import ValidationError
+
+    monkeypatch.setattr(dynamics, "round_robin_schedule", lambda *a: pytest.fail("the schedule was built"))
+    k = 10**12
+    message = f"a walk of {k * trap_ci.n_players} steps exceeds the 1000000-step ceiling"
+    for call in (k_round_walk, adversarial_min_welfare, efficiency):
+        with pytest.raises(ValidationError, match=message):
+            call(trap_ci, k)
+
+
+def test_the_step_ceiling_admits_a_walk_of_its_own_length(trap_ci, monkeypatch):
+    from resgames import ValidationError
+
+    n = trap_ci.n_players
+    walks = [k_round_walk(trap_ci, 3), adversarial_min_welfare(trap_ci, 3)[1]]
+    monkeypatch.setattr(dynamics, "_WALK_STEP_CEILING", 3 * n)
+    assert [k_round_walk(trap_ci, 3), adversarial_min_welfare(trap_ci, 3)[1]] == walks
+    assert k_round_walk(trap_ci, 1, schedule=[0] * (3 * n)).steps
+    for call in (lambda: k_round_walk(trap_ci, 4), lambda: adversarial_min_welfare(trap_ci, 4),
+                 lambda: efficiency(trap_ci, 4), lambda: k_round_walk(trap_ci, 1, schedule=[0] * (3 * n + 1))):
+        with pytest.raises(ValidationError, match="exceeds the"):
+            call()
