@@ -145,8 +145,8 @@ def _cmd_design(args):
 def _cmd_analyze(args):
     setcov = args.welfare == "setcov"
     read = READS[args.route]
-    if args.route in ("one-round", "closed-form"):  # set covering tabulates to --jtrunc or --n + 2, never to --jmax
-        read = read - {"jmax" if setcov else "jtrunc"}
+    if args.route in SETCOV_SIZE:  # set covering sizes by --n or --jtrunc, the other families by --jmax
+        read = read - ({"jmax"} if setcov else {SETCOV_SIZE[args.route]})
     _refuse_unread(args, read)
     lines = ["parameter,value,truncation_flag"]
     if args.route == "bounds":
@@ -158,9 +158,9 @@ def _cmd_analyze(args):
             pt = frontier_setcov(q, args.jtrunc)
             lines.append(f"{q!r},{pt.one_round!r},False")
     elif args.route == "closed-form":
-        w, f = _rules(args, args.n + 2 if setcov else max(args.n + 2, args.jmax))
+        w, f = _rules(args, args.n + 2) if setcov else _rules(args, args.jmax, args.jmax + 2)
         res = poa_closed_form(w, f, args.welfare, n=args.n, j_max=args.jmax)
-        lines.append(f"{args.n},{res.value!r},{res.truncated}")
+        lines.append(f"{args.n if setcov else args.jmax},{res.value!r},{res.truncated}")
     elif args.route == "one-round":
         w, f = _rules(args, args.jtrunc) if setcov else _rules(args, args.jmax, args.jmax + 2)
         if setcov:
@@ -234,6 +234,8 @@ READS = {
     "bounds": {"C_grid", "k", "design"},
     "one-round": {"welfare", "jmax", "jtrunc", *_DESIGN_FLAGS},
 }
+#: The size flag each of these routes reads under set covering; under the other families it reads --jmax.
+SETCOV_SIZE = {"closed-form": "n", "one-round": "jtrunc"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -192,7 +192,8 @@ _INT16_LIMIT = 2**15  # the search mirror holds counts and action indices as int
 
 
 class _AdversarialSearch:
-    """Depth-first minimization of final welfare over all best-response ties.
+    """Depth-first minimization of final welfare over all best-response ties,
+    with states that provably cannot lower the minimum pruned.
 
     The state at step t is the actions of the players that still move and
     the counts of the resources that some step >= t can touch, taken with
@@ -209,6 +210,36 @@ class _AdversarialSearch:
     in ``[n, n + R)``, latest first.  The players that still move then end
     the first part and the active resources start the second, so the key at
     t is the bytes of one slice ``S[lo[t]:hi[t]]``, one memo dict per step.
+
+    The bound is Rosenthal's exact potential Phi = sum_r v_r * F_r(c_r), F_r
+    the cumulative utility, which ``_set`` keeps in ``phi``.  A move changes
+    Phi by the mover's utility change, so no move lowers it by more than the
+    tie tolerance delta = TOL, and a player's first move, off its empty
+    action, raises it by at least ``u_min[i]``, the least utility a best
+    response of that player can have.  With ``alpha`` the least W/F over the
+    live table entries (1 when W >= F entrywise, as under common interest),
+    the welfare still to come at step t is at least
+    ``max(0, alpha * (Phi_active + gain[t]))``: Phi_active leaves out the
+    finalized resources, and ``gain[t]`` sums ``u_min`` over the players
+    whose first step is t or later, less delta * (steps - t).  A state is
+    pruned (``pruned`` counts them) when its finalized welfare plus that
+    bound, less a rounding slack ``eps``, reaches the least finished walk.
+    On an ``exact`` game (every table entry a multiple of 2**-20, the table
+    mass below 2**30 and alpha 1) every sum and every tie is exact, so
+    delta = eps = 0 and a state is pruned at equality: the walk found
+    earlier wins the tie.
+
+    A memo entry ``(value, action)`` is exact: the least welfare to come and
+    the first action in tie order that attains it, bit for bit those of the
+    unpruned search.  A state some of whose walks were pruned is exact only
+    when the pruned part cannot win: its lower bound, less ``eps / 2``, is
+    above the best value, or equal to it if it lies after the best action in
+    tie order.  Otherwise the entry is ``(value, action, bound)``, the best
+    walk it did finish and a lower bound on the rest; it prunes a later
+    visit only if it passes a state's test, and the state is searched again
+    otherwise.  A walk pruned against the least finished walk keeps ``eps``
+    of margin, so it cannot make a state on that walk inexact, and the first
+    minimizing walk is never pruned: every state on it ends exact.
     """
 
     def __init__(self, g: Game, schedule: tuple[int, ...], cap: int):
@@ -228,45 +259,85 @@ class _AdversarialSearch:
         self.lo = [n - m for m in self._prefix_lengths(player_last, n_steps)]
         n_active = self._prefix_lengths(res_last, n_steps)
         self.hi = [n + m for m in n_active]
-        wrows = g._welfare_rows
-        self.finalized_after = [  # (welfare row, resource) of those step t's move finalizes
-            [(wrows[r], r) for r in self.res_order[n_active[t + 1]:n_active[t]]]
+        wrows, crows = g._welfare_rows, g.cumulative_utility_tables.tolist()
+        self.finalized_after = [  # (welfare row, potential row, resource) of those step t's move finalizes
+            [(wrows[r], crows[r], r) for r in self.res_order[n_active[t + 1]:n_active[t]]]
             for t in range(n_steps)
         ]
         self.slot = np.argsort(self.players).tolist()
         res_slot = (n + np.argsort(self.res_order)).tolist()
+        urows = g._utility_rows
         self.moves = [
-            [tuple((r, res_slot[r]) for r in res) for res in acts] for acts in g.action_resources
+            [tuple([(r, res_slot[r], urows[r]) for r in res]) for res in acts] for acts in g.action_resources
         ]
         widest = max(n + 1, max(map(len, g.actions)))
         self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
-        self.memo: list[dict[bytes, tuple[float, int]]] = [{} for _ in range(n_steps)]
-        self.explored = 0
-        self.best_upper: float | None = None
+        self.memo: list[dict[bytes, tuple]] = [{} for _ in range(n_steps)]
+        self.explored = self.pruned = 0
+
+        W, U, F = g.welfare_tables, g.utility_tables, g.cumulative_utility_tables
+        cols = np.arange(W.shape[1])
+        live = (cols >= 1) & (cols <= np.array(g.max_selectors)[:, None])
+        pos = live & (F > 0)
+        self.alpha = min(1.0, float((W[pos] / F[pos]).min())) if pos.any() else 1.0
+        least = np.where(live, U, np.inf).min(axis=1).tolist()
+        self.u_min = [max([sum([least[r] for r in res]) for res in acts]) for acts in g.action_resources]
+        self.mass = float(np.abs(W).sum() + np.abs(U).sum() + np.abs(F).sum())
+        self.exact = self.alpha == 1.0 and self.mass < 2.0**30 and not any(
+            np.mod(tab * 2.0**20, 1.0).any() for tab in (W, U, F))
+        delta = 0.0 if self.exact else TOL
+        first: dict[int, int] = {}
+        for t, i in enumerate(schedule):
+            first.setdefault(i, t)
+        gain = [0.0] * (n_steps + 1)
+        for i, t in first.items():
+            gain[t] = self.u_min[i]
+        for t in reversed(range(n_steps)):
+            gain[t] += gain[t + 1] - delta
+        self.gain = gain  # gain[t] - delta * (steps - t), as one suffix sum
+        self.eps = self._slack(n_steps, delta * n_steps)
 
     @staticmethod
     def _prefix_lengths(last: list[int], n_steps: int) -> list[int]:
         """For t = 0..n_steps, how many entries of ``last`` are >= t."""
         return (len(last) - np.searchsorted(np.sort(last), np.arange(n_steps + 1))).tolist()
 
+    def _slack(self, depth: int, drop: float) -> float:
+        """The rounding slack of a bound read ``depth`` moves deep that allows
+        a tie drop of ``drop``; 0 on an exact game.  Otherwise each of the
+        ``ops`` roundings in a welfare sum, the bound or ``phi`` is at most
+        2**-53 of the table mass plus ``drop``, and eps is 512 times their
+        total."""
+        if self.exact:
+            return 0.0
+        g = self.g
+        # phi takes at most 2 * |actions| + 3 updates of |action| entries per move
+        width = max(len(res) for acts in g.action_resources for res in acts)
+        ops = depth * (2 * max(map(len, g.actions)) + 3) * width + g.n_players + g.n_resources + 1
+        return ops * 2.0**-44 * (self.mass + drop)
+
     def _reset(self) -> None:
-        """Puts ``joint``, ``counts`` and ``S`` at the null allocation."""
+        """Puts ``joint``, ``counts``, ``phi`` and ``S`` at the null allocation."""
         null = self.g.null_action
         self.joint = list(null)
         self.counts = [0] * self.g.n_resources  # the null allocation's
+        self.phi = 0.0
         # a memoryview: item updates and slice bytes cost less than on the array
         self.S = memoryview(np.array([null[i] for i in self.players] + self.counts, dtype=self.dtype))
 
     def _set(self, i: int, a: int) -> None:
-        """Moves player i to action ``a`` in ``joint``, ``counts`` and ``S``."""
-        counts, S, moves = self.counts, self.S, self.moves[i]
-        for r, p in moves[self.joint[i]]:
+        """Moves player i to action ``a`` in ``joint``, ``counts``, ``phi`` and ``S``."""
+        counts, S, moves, phi = self.counts, self.S, self.moves[i], self.phi
+        for r, p, urow in moves[self.joint[i]]:
+            phi -= urow[counts[r]]
             counts[r] -= 1
             S[p] -= 1
         self.joint[i] = S[self.slot[i]] = a
-        for r, p in moves[a]:
+        for r, p, urow in moves[a]:
             counts[r] += 1
             S[p] += 1
+            phi += urow[counts[r]]
+        self.phi = phi
 
     def _lift(self, t: int) -> bytes:
         """Moves step t's mover to its empty action and returns the memo key."""
@@ -277,47 +348,78 @@ class _AdversarialSearch:
 
     def run(self) -> float:
         """The least final welfare, searched from an explicit stack of frames
-        ``[t, acc, key, old, ties, action, released, best, best action]``,
-        so the depth never touches the interpreter's recursion limit.  A
-        frame is an unmemoised state at step t with ``acc`` finalized; it
-        restores the mover's ``old`` action when its ties are spent."""
+        ``[t, acc, fin, phi, key, old, ties, action, released, best, best
+        action, sure, before, after]``, so the depth never touches the
+        interpreter's recursion limit.  A frame is an unmemoised state at
+        step t with welfare ``acc`` and potential ``fin`` finalized and
+        potential ``phi``; it restores the mover's ``old`` action and ``phi``
+        when its ties are spent.  ``best`` is the least value its finished
+        walks reach, ``sure`` whether the child that reaches it is exact, and
+        ``before`` and ``after`` bound what its pruned walks reach, ordered
+        before and after that child."""
         self._reset()
         g, sched, null, counts = self.g, self.schedule, self.g.null_action, self.counts
-        joint, memo, fin_after = self.joint, self.memo, self.finalized_after
+        joint, memo, fin_after, gain = self.joint, self.memo, self.finalized_after, self.gain
+        alpha, eps, half, inf = self.alpha, self.eps, self.eps / 2, math.inf
         set_, lift = self._set, self._lift
-        stack, t, acc = [], 0, 0.0
+        stack, t, acc, fin, upper = [], 0, 0.0, 0.0, inf  # upper: the least finished walk
         while True:
-            rest = 0.0  # the welfare still to come, None while a new frame has no child
+            # the state's least welfare to come over the walks it finished,
+            # and a lower bound on its pruned walks; None while a new frame has no child
+            rest, low = 0.0, inf
             if t < len(sched):
-                i = sched[t]
-                old = joint[i]
-                key = lift(t)
-                hit = memo[t].get(key)
-                if hit is None:
-                    self.explored += 1
-                    if self.explored > self.cap:
-                        raise EnumerationCapError(self.explored, self.cap, self.best_upper)
-                    stack.append([t, acc, key, old, iter(_ties(g, counts, i, null[i])), -1, 0.0, None, -1])
-                    rest = None
+                bound = max(0.0, alpha * (self.phi - fin + gain[t]))
+                if acc + bound - eps >= upper:
+                    rest, low = inf, bound
+                    self.pruned += 1
                 else:
-                    set_(i, old)
-                    rest = hit[0]
-            if rest is not None and (self.best_upper is None or acc + rest < self.best_upper):
-                self.best_upper = acc + rest
+                    i = sched[t]
+                    old, phi = joint[i], self.phi
+                    key = lift(t)
+                    hit = memo[t].get(key)  # a lower-bound entry that no longer prunes is searched again
+                    if hit is None or len(hit) == 3 and acc + min(hit[0], hit[2]) - eps < upper:
+                        self.explored += 1
+                        if self.explored > self.cap:
+                            raise EnumerationCapError(self.explored, self.cap, None if upper == inf else upper)
+                        stack.append([t, acc, fin, phi, key, old, iter(_ties(g, counts, i, null[i])),
+                                      -1, 0.0, inf, -1, True, inf, inf])
+                        rest = None
+                    else:
+                        set_(i, old)
+                        self.phi = phi
+                        rest = hit[0]
+                        if len(hit) == 3:
+                            low = hit[2]
+                            self.pruned += 1
+            if rest is not None and acc + rest < upper:
+                upper = acc + rest
             while stack:
                 frame = stack[-1]
-                t, acc, key, old, ties, a, released, best, best_act = frame
-                if rest is not None and (best is None or released + rest < best):
-                    best, best_act = frame[7:] = released + rest, a
+                t, acc, fin, phi, key, old, ties, a, released, best, best_act, sure, before, after = frame
+                if rest is not None:
+                    if released + rest < best:
+                        best, best_act, sure = released + rest, a, low == inf
+                        before, after = min(before, after), released + low
+                    elif low < inf:
+                        after = min(after, released + low)
+                    frame[9:] = best, best_act, sure, before, after
                 if (a := next(ties, None)) is not None:
                     set_(sched[t], a)
-                    fin = fin_after[t]
-                    released = sum(row[counts[r]] for row, r in fin) if fin else 0.0
-                    frame[5:7] = a, released
-                    t, acc = t + 1, acc + released
+                    released = freed = 0.0
+                    for wrow, crow, r in fin_after[t]:
+                        released += wrow[counts[r]]
+                        freed += crow[counts[r]]
+                    frame[7:9] = a, released
+                    t, acc, fin = t + 1, acc + released, fin + freed
                     break
                 set_(sched[t], old)
-                memo[t][key] = (best, best_act)
+                self.phi = phi
+                if sure and before - half > best and after - half >= best:
+                    memo[t][key] = (best, best_act)
+                    low = inf
+                else:
+                    low = min(before, after)
+                    memo[t][key] = (best, best_act, low)
                 rest = best
                 stack.pop()
             else:
@@ -344,6 +446,13 @@ def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
     sequence; ``k`` must still be a positive integer.  More than ``cap``
     searched states raise :class:`EnumerationCapError`.  The value is the
     trajectory's final welfare, summed as :func:`welfare` sums a state.
+
+    A state is not searched when a bound on Rosenthal's potential shows that
+    no walk through it ends below the least walk found so far (see
+    :class:`_AdversarialSearch`); the test holds at equality when the game's
+    tables make every sum and tie exact, and keeps a rounding slack
+    otherwise.  The value and the trajectory, the first minimizing walk in
+    tie order, are those of the search without the bound, bit for bit.
     """
     search = _AdversarialSearch(g, _check_schedule(g, k, schedule), cap)
     search.run()
@@ -394,11 +503,25 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     :class:`_AdversarialSearch`'s state.  A walk can stay at a reachable Nash
     joint forever, so these are exactly the limit points under adversarial
     ties.  A joint is Nash when all n of its states keep the mover's action.
+
+    A state is skipped when ``alpha * (Phi(s) + waiting - delta * paths) - eps``
+    exceeds the least Nash welfare found so far, with the potential, ``alpha``,
+    ``delta`` and ``eps`` of :class:`_AdversarialSearch`.  ``waiting`` sums
+    ``u_min[i]`` over the empty players with ``u_min[i] > TOL``, whose empty
+    action is no tie, so they leave it before any Nash joint; ``paths``, the
+    game's count of (mover, joint) states, bounds the moves of a path that
+    visits no state twice.  The test is strict and reads the state alone, so
+    no Nash joint of the least welfare is skipped, even on an exact game,
+    where delta = eps = 0, and the least joint of that welfare is kept.
     """
     n = g.n_players
     search = _AdversarialSearch(g, round_robin_schedule(n, 1), cap)
     search._reset()
-    joint, state = search.joint, (0, search.S[:n].tobytes())
+    joint, null, alpha = search.joint, g.null_action, search.alpha
+    leave = [u if u > TOL else 0.0 for u in search.u_min]
+    drop = 0.0 if search.exact else TOL * n * math.prod(float(len(a)) for a in g.actions)
+    eps = search._slack(cap, drop)  # the stack holds at most cap states
+    state, waiting = (0, search.S[:n].tobytes()), sum(leave)
     seen, stays, stack, best = {state}, Counter(), [], None
     while True:
         i, key = state
@@ -407,15 +530,24 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
         if stays[key] == n:
             nash = (welfare(g, joint), tuple(joint))
             best = nash if best is None else min(best, nash)
-        stack.append((i, joint[i], iter(ties)))
-        while state in seen:
+        stack.append((i, joint[i], iter(ties), search.phi, waiting))
+        while True:
             while (nxt := next(stack[-1][2], None)) is None:
-                i, old, _ = stack.pop()
+                i, old, _, phi, _ = stack.pop()
                 search._set(i, old)
+                search.phi = phi
                 if not stack:
                     return best
-            search._set(stack[-1][0], nxt)
-            state = ((stack[-1][0] + 1) % n, search.S[:n].tobytes())
+            i, old, _, _, waiting = stack[-1]
+            search._set(i, nxt)
+            waiting += leave[i] * ((nxt == null[i]) - (old == null[i]))
+            state = ((i + 1) % n, search.S[:n].tobytes())
+            if state in seen:
+                continue
+            if best is not None and alpha * (search.phi + waiting - drop) - eps > best[0]:
+                search.pruned += 1
+                continue
+            break
         if len(seen) >= cap:
             raise EnumerationCapError(len(seen), cap, best[0] if best else None)
         seen.add(state)

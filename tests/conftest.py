@@ -80,18 +80,21 @@ def mc_argmaxes(g: Game, joint: tuple[int, ...], i: int) -> list[int]:
     return [b for b, u in enumerate(utils) if top - u <= TOL]
 
 
-def brute_tie_paths(g: Game, schedule, joint=None) -> float:
+def brute_tie_paths(g: Game, schedule, joint=None) -> tuple[float, tuple[int, ...]]:
     """Reference adversarial minimum: the least final welfare over every
     resolution of every best-response tie (:func:`mc_argmaxes`) along
-    ``schedule``, from the null allocation, found by plain recursion."""
+    ``schedule``, from the null allocation, found by plain recursion, and the
+    actions of the first tie path in tie order that ends at it."""
     joint = g.null_action if joint is None else joint
     if not schedule:
-        return welfare(g, joint)
+        return welfare(g, joint), ()
     i = schedule[0]
-    return min(
-        brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
-        for b in mc_argmaxes(g, joint, i)
-    )
+    best = None
+    for b in mc_argmaxes(g, joint, i):
+        value, rest = brute_tie_paths(g, schedule[1:], joint[:i] + (b,) + joint[i + 1:])
+        if best is None or value < best[0]:
+            best = (value, (b, *rest))
+    return best
 
 
 def bfs_reachable_nash(g: Game) -> tuple[float, set[tuple[int, ...]]]:

@@ -294,6 +294,9 @@ def test_bad_design_request_exit_code(capsys, argv):
     (["design", "--design", "one_round", "--C", "0.5", "--jmax", "1"], "1,1.0"),  # exactly --jmax rows
     (["analyze", "--route", "closed-form", "--welfare", "setcov", "--design", "asymptotic"],
      "50,0.6321205588285576,False"),
+    # the bent closed form runs to --jmax and labels its row with it
+    (["analyze", "--route", "closed-form", "--welfare", "bent", "--C", ".5", "--design", "asymptotic",
+      "--jmax", "40"], "40,0.8160602794142785,False"),
 ])
 def test_rule_builder_call_sites_are_pinned(capsys, argv, expected):
     assert main(argv) == 0
@@ -379,7 +382,8 @@ def test_analyze_refuses_flags_its_route_does_not_read(capsys):
     (["--route", "one-round", "--welfare", "setcov", "--jmax", "20"], "--jmax"),
     (["--route", "one-round", "--welfare", "bent", "--C", ".5", "--jtrunc", "20"], "--jtrunc"),
     (["--route", "closed-form", "--welfare", "setcov", "--jmax", "20"], "--jmax"),
-], ids=["one-round-setcov", "one-round-bent", "closed-form-setcov"])
+    (["--route", "closed-form", "--welfare", "bent", "--C", ".5", "--n", "3"], "--n"),
+], ids=["one-round-setcov", "one-round-bent", "closed-form-setcov", "closed-form-bent"])
 def test_analyze_refuses_the_truncation_flag_its_family_does_not_read(capsys, argv, unread):
     assert main(["analyze", *argv]) == 2
     assert capsys.readouterr() == ("", f"error: --route {argv[1]} does not read {unread}\n")

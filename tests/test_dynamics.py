@@ -442,12 +442,20 @@ def lifted_mover_game() -> Game:
 @given(games_and_schedules())
 @example((shared_holder_game(), 2, None))
 @example((lifted_mover_game(), 2, None))
+@example((build_two_agent_worst_case(0.5, design_one_round(0.5)).game, 2, None))  # alpha < 1
+@example((build_common_interest_chain(3, 0.0).game, 1, None))  # the first-move term prunes
 def test_adversarial_matches_brute_tie_paths(case):
     g, k, schedule = case
     sched = round_robin_schedule(g.n_players, k) if schedule is None else tuple(schedule)
     val, traj = adversarial_min_welfare(g, k, schedule=schedule)
+    want, first = brute_tie_paths(g, sched)
     tol = 1e-9 * (1 + abs(val))
-    assert abs(val - brute_tie_paths(g, sched)) <= tol
+    assert abs(val - want) <= tol
+    # with welfare in multiples of 2**-20 every sum is exact, so the least
+    # walk is one value and the first tie path in tie order that reaches it
+    # is the walk returned, whatever the bound pruned
+    if not np.mod(g.welfare_tables * 2.0**20, 1.0).any():
+        assert tuple(s.action for s in traj.steps) == first
     # the trajectory is itself a tie path that ends at the value
     assert tuple(s.player for s in traj.steps) == sched
     for state, step in zip(traj.states(), traj.steps):
@@ -462,16 +470,19 @@ def test_adversarial_search_solves_a_lifted_state_once():
     assert best_responses(g, g.null_action, 0) == [1, 2]
     assert best_responses(g, (1, 0), 1) == best_responses(g, (2, 0), 1) == [1]
     search = dynamics._AdversarialSearch(g, sched, 100)
-    assert search.run() == brute_tie_paths(g, sched) == 2.5
-    # step 2 is reached from (1, 1) and (2, 1); lifting player 0 makes them one key
+    assert search.run() == brute_tie_paths(g, sched)[0] == 2.5
+    # step 2 is reached from (1, 1) and (2, 1); lifting player 0 makes them one key.
+    # The second path's bound, alpha = 0.625 times the potential 4 less the
+    # tie drop, falls just short of the first path's 2.5, so it is searched.
     assert [len(m) for m in search.memo] == [1, 2, 1, 2]
-    assert search.explored == 6
+    assert (search.explored, search.pruned, search.alpha, search.exact) == (6, 0, 0.625, False)
     assert search.reconstruct().final == (2, 1)
     assert k_round_walk(g, 2).final_welfare == 4.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(tie_games(st.sampled_from([0.0, 0.5, 1.0])))
+@example(build_common_interest_chain(3, 0.5).game)  # the bound skips states
 def test_reachable_nash_min_matches_the_bfs_oracle(g):
     want, nash = bfs_reachable_nash(g)
     got, state = reachable_nash_min(g)
@@ -509,21 +520,32 @@ def test_adversarial_search_depth_ignores_recursion_limit():
     assert abs(ratio - con.meta["target_ratio"]) <= 1e-9
 
 
-def _chain_search(n, c, k):
-    g = build_common_interest_chain(n, c).game
+def _searched(g, k):
+    """The search of k rounds on g, and its value."""
     search = dynamics._AdversarialSearch(g, round_robin_schedule(g.n_players, k), 500_000)
-    return search.run(), search.explored, search.reconstruct()
+    return search, search.run()
+
+
+def _chain_search(n, c, k):
+    search, val = _searched(build_common_interest_chain(n, c).game, k)
+    return val, search.explored, search.reconstruct()
 
 
 # (n, C, k), the visited-state count, the value's float.hex and the worst
 # walk's actions (one digit per round-robin step) and final state.  The
 # values, walks and finals were recorded when the search keyed its memo on
-# tuples and the tables spanned n_players + 1 counts; the visited counts
-# when the memo key left out the mover's action.
+# tuples and the tables spanned n_players + 1 counts, and the last four rows
+# before the search pruned; the visited counts once the potential bound
+# pruned.  On the exact chains (C = 0, 0.5) only the first walk is searched,
+# n * k states; the others prune strictly, with a rounding slack.
 @pytest.mark.parametrize("n, c, k, visited, value, actions, final", [
-    (12, 0.0, 3, 20478, "0x1.8000000000000p+3", "1" * 36, (1,) * 12),
-    (30, 0.5, 2, 1308, "0x1.e000000000000p+4", "1" * 60, (1,) * 30),
-], ids=["n12-C0-k3", "n30-C.5-k2"])
+    (12, 0.0, 3, 36, "0x1.8000000000000p+3", "1" * 36, (1,) * 12),
+    (30, 0.5, 2, 60, "0x1.e000000000000p+4", "1" * 60, (1,) * 30),
+    (200, 0.95, 2, 1192, "0x1.9000000000000p+7", "1" * 400, (1,) * 200),
+    (60, 0.15, 3, 586, "0x1.e000000000000p+5", "1" * 179 + "2", (1,) * 59 + (2,)),
+    (14, 0.0, 3, 42, "0x1.c000000000000p+3", "1" * 42, (1,) * 14),
+    (2000, 0.35, 1, 3998, "0x1.f400000000000p+10", "1" * 2000, (1,) * 2000),
+], ids=["n12-C0-k3", "n30-C.5-k2", "n200-C.95-k2", "n60-C.15-k3", "n14-C0-k3", "n2000-C.35-k1"])
 def test_adversarial_chain_search_is_pinned(n, c, k, visited, value, actions, final):
     val, explored, traj = _chain_search(n, c, k)
     assert explored == visited
@@ -545,13 +567,56 @@ def test_adversarial_search_int32_mirrors_match_int16(monkeypatch):
 
 
 def test_adversarial_values_are_python_floats():
-    g = build_common_interest_chain(30, 0.5).game
+    # the exact chain (30, 0.5) ends in 60 states, one walk, so a cap that
+    # raises there comes before any walk ends; C = 0.35 searches 172
+    g = build_common_interest_chain(30, 0.35).game
     val, _ = adversarial_min_welfare(g, 2)
     assert type(val) is float
     with pytest.raises(EnumerationCapError) as err:
         adversarial_min_welfare(g, 2, cap=100)
     assert type(err.value.best_upper) is float
     assert type(EnumerationCapError(1, 0, np.float64(0.5)).best_upper) is float
+
+
+def test_searches_the_cap_stopped_finish_under_the_bound():
+    chain = build_common_interest_chain(200, 0.5).game
+    assert adversarial_min_welfare(chain, 3)[0] == 200.0
+    assert adversarial_min_welfare(build_common_interest_chain(20, 0.0).game, 2)[0] == 20.0
+    assert reachable_nash_min(chain) == (200.0, (1,) * 200)
+
+
+def test_the_cap_still_stops_a_search_the_bound_cannot_cut():
+    g = build_common_interest_chain(2000, 0.35).game
+    # C = 0.35 is not exact, so a walk that ties the first one's welfare is
+    # not pruned: each step's second tie is searched, 2n - 2 states in all
+    assert _searched(g, 1)[0].explored == 3998
+    with pytest.raises(EnumerationCapError) as err:
+        adversarial_min_welfare(g, 1, cap=1000)
+    assert (err.value.explored, err.value.best_upper) == (1001, None)
+
+
+def test_the_oracle_examples_prune():
+    one_round = _searched(build_two_agent_worst_case(0.5, design_one_round(0.5)).game, 2)[0]
+    assert one_round.alpha < 1 and not one_round.exact and one_round.pruned > 0
+    # chain (3, 0) in one round prunes only with the first-move term
+    g = build_common_interest_chain(3, 0.0).game
+    full, value = _searched(g, 1)
+    bare = dynamics._AdversarialSearch(g, round_robin_schedule(3, 1), 100)
+    bare.gain = [0.0] * len(bare.gain)  # an exact game: no tie drop either
+    assert bare.run() == value == 3.0
+    assert (full.explored, full.pruned, bare.explored, bare.pruned) == (3, 1, 4, 0)
+    assert bare.reconstruct() == full.reconstruct()
+    # the limit route skips states of chain (3, 0.5)
+    made = []
+
+    class Caught(dynamics._AdversarialSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(dynamics, "_AdversarialSearch", Caught):
+        assert reachable_nash_min(build_common_interest_chain(3, 0.5).game) == (3.0, (1, 1, 1))
+    assert made[0].pruned > 0
 
 
 def _assert_steps_score_their_states(g, traj, n_steps):
