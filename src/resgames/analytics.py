@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TOL, UtilityRule, ValidationError, WelfareRule, curvature, make_welfare_rule
+from .model import TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, curvature, make_welfare_rule
 from .designs import pareto_setcov_values
 
 E = math.e
@@ -37,9 +37,14 @@ def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundRes
                (sum_{i<=y} f(i) - z min_{i<=y+1} f(i) + w(z)) / w(y)]^-1.
     ``truncated`` reports a maximizer that strictly dominates only on the
     y_max/z_max boundary, i.e. a larger index bound could change the value.
+
+    Precondition: f(1) = w(1), the scale at which a design fixes f.  Scaling
+    f leaves best responses unchanged but moves this value, so an f at any
+    other scale raises :class:`ValidationError`.
     """
     if y_max < 1:
         raise ValidationError("y_max must be positive")
+    _check_first_values(w, f, "one_round_bound")
     wt = w.table(y_max)
     ft = f.table(y_max + 1)
     pref = np.cumsum(ft)

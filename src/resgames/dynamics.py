@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral
@@ -24,7 +25,7 @@ LEXICOGRAPHIC = "lexicographic"
 ADVERSARIAL = "adversarial"
 
 _WALK_STEP_CEILING = 10**6
-_GATHER = 1 << 16  # most (step, resource) count entries one walk gather reads
+_GATHER = 1 << 16  # most (step, resource) terms one walk block holds
 
 
 class BudgetExceededError(RuntimeError):
@@ -137,40 +138,39 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
     the action of ``schedule[t]``; ``joint`` and ``counts`` are the state
     before the move and must not be changed.
 
-    Welfare and potential are read for a block of steps at a time, one
-    gather per table over at most ``_GATHER`` (step, resource) counts.  A
-    block is its start counts plus the running sum of the moves recorded in
-    it, as flat (step in block, resource) positions left and entered.  Each
-    row is summed as :func:`welfare` sums one state, to the same bits.
+    Each step's per-resource welfare and potential terms are kept in two
+    running rows, and a move rewrites only the entries of the resources it
+    leaves and enters.  After each step both rows are copied into a block
+    of at most ``_GATHER`` (step, resource) terms; a full block, and the
+    last one, is summed a row at a time, as :func:`welfare` sums one state,
+    to the same bits.
     """
     counts = selection_counts(g, start).tolist()
     joint = list(start)
-    wtab = g.welfare_tables
-    cumtab = g.cumulative_utility_tables
+    wrows, crows = g._welfare_rows, g._cumulative_rows
     n_res = g.n_resources
-    cols = np.arange(n_res)
-    rows = max(1, _GATHER // n_res)
-    base = np.array(counts, dtype=np.int64)
-    acts, left, entered, wel, pot = [], [], [], [], []
+    rows = min(max(1, _GATHER // n_res), len(schedule))
+    wrun = array("d", [row[c] for row, c in zip(wrows, counts)])
+    prun = array("d", [row[c] for row, c in zip(crows, counts)])
+    wblock, pblock = np.empty((rows, n_res)), np.empty((rows, n_res))
+    wflat, pflat = memoryview(wblock.reshape(-1)), memoryview(pblock.reshape(-1))
+    acts, wel, pot = [], [], []
     for t, i in enumerate(schedule):
         choice = choose(t, i, joint, counts)
-        pos = t % rows * n_res
         for r in g.action_resources[i][joint[i]]:
             counts[r] -= 1
-            left.append(pos + r)
+            wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
         joint[i] = choice
         for r in g.action_resources[i][choice]:
             counts[r] += 1
-            entered.append(pos + r)
+            wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
         acts.append(choice)
-        if t % rows == rows - 1 or t == len(schedule) - 1:
-            moves = np.bincount(entered, minlength=pos + n_res)
-            moves -= np.bincount(left, minlength=pos + n_res)
-            block = moves.reshape(-1, n_res).cumsum(axis=0)
-            block += base
-            wel += wtab[cols, block].sum(axis=1).tolist()
-            pot += cumtab[cols, block].sum(axis=1).tolist()
-            base, left, entered = block[-1].copy(), [], []  # a view would keep the block alive
+        row = t % rows
+        wflat[row * n_res:(row + 1) * n_res] = wrun
+        pflat[row * n_res:(row + 1) * n_res] = prun
+        if row == rows - 1 or t == len(schedule) - 1:
+            wel += wblock[:row + 1].sum(axis=1).tolist()
+            pot += pblock[:row + 1].sum(axis=1).tolist()
     return Trajectory(start, tuple(map(Step, schedule, acts, wel, pot)), tuple(joint))
 
 
@@ -259,7 +259,7 @@ class _AdversarialSearch:
         self.lo = [n - m for m in self._prefix_lengths(player_last, n_steps)]
         n_active = self._prefix_lengths(res_last, n_steps)
         self.hi = [n + m for m in n_active]
-        wrows, crows = g._welfare_rows, g.cumulative_utility_tables.tolist()
+        wrows, crows = g._welfare_rows, g._cumulative_rows
         self.finalized_after = [  # (welfare row, potential row, resource) of those step t's move finalizes
             [(wrows[r], crows[r], r) for r in self.res_order[n_active[t + 1]:n_active[t]]]
             for t in range(n_steps)

@@ -134,6 +134,12 @@ class UtilityRule(_TabulatedRule):
         return UtilityRule(self._array * s, self.tail_value * s)
 
 
+def _check_first_values(w: WelfareRule, f: UtilityRule, owner: str) -> None:
+    """Raise unless f(1) = w(1) within TOL: a design fixes f's scale there,
+    and the guarantees read f at that scale."""
+    _require(abs(f.values[0] - w.values[0]) <= TOL, f"{owner}: f(1) must equal w(1)")
+
+
 def _nonincreasing(f: np.ndarray, tail: float) -> bool:
     return bool((f[1:] <= f[:-1] + TOL).all() and tail <= f[-1] + TOL)
 
@@ -205,8 +211,7 @@ class Resource:
         object.__setattr__(self, "value", float(self.value))
         _require(math.isfinite(self.value) and self.value >= 0.0,
                  f"resource {self.rid!r} must have a finite nonnegative value")
-        _require(abs(self.utility.values[0] - self.welfare.values[0]) <= TOL,
-                 f"resource {self.rid!r}: f(1) must equal w(1)")
+        _check_first_values(self.welfare, self.utility, f"resource {self.rid!r}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,10 @@ class Game:
     @cached_property
     def _utility_rows(self) -> list[list[float]]:
         return self.utility_tables.tolist()
+
+    @cached_property
+    def _cumulative_rows(self) -> list[list[float]]:
+        return self.cumulative_utility_tables.tolist()
 
     def _with_utilities(self, rules: Sequence[UtilityRule]) -> "Game":
         """This game with resource r's utility rule replaced by ``rules[r]``.

@@ -47,6 +47,16 @@ def test_one_round_bound_examples():
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_one_round_bound_refuses_f_off_the_design_scale():
+    # scaling f leaves best responses alone but would move the value (0.333 at 2f, 0.667 at f/2)
+    w = make_welfare_rule("wta", 52, p=0.5)
+    f = design_common_interest(w)
+    assert one_round_bound(w, f, 50).value == 0.5000000000000056
+    for s in (2.0, 0.5):
+        with pytest.raises(ValidationError, match=r"one_round_bound: f\(1\) must equal w\(1\)"):
+            one_round_bound(w, f.scaled(s), 50)
+
+
 def test_one_round_bound_truncation_flag():
     # constant f on set covering diverges with the index bound
     wsc = make_welfare_rule("set_covering", 52)

@@ -297,6 +297,9 @@ def test_bad_design_request_exit_code(capsys, argv):
     # the bent closed form runs to --jmax and labels its row with it
     (["analyze", "--route", "closed-form", "--welfare", "bent", "--C", ".5", "--design", "asymptotic",
       "--jmax", "40"], "40,0.8160602794142785,False"),
+    # one_round_bound refuses f(1) != w(1); the route's designed f passes at w's scale
+    (["analyze", "--route", "one-round", "--welfare", "wta", "--design", "common_interest"],
+     "50,0.5000000000000056,False"),
 ])
 def test_rule_builder_call_sites_are_pinned(capsys, argv, expected):
     assert main(argv) == 0

@@ -664,6 +664,16 @@ def test_walk_gather_blocks_match_one_state_sums(g, k, tie_break, data):
     _assert_steps_score_their_states(g, traj, k * g.n_players)
 
 
+@settings(max_examples=60, deadline=None)
+@given(wide_games(), st.sampled_from([INCUMBENT_THEN_LEX, LEXICOGRAPHIC]), st.data())
+def test_walk_to_nash_blocks_match_one_state_sums(g, tie_break, data):
+    # each round after the first is recorded from the state the last one left
+    gather = data.draw(st.integers(1, 9 * g.n_resources))
+    with mock.patch.object(dynamics, "_GATHER", gather):
+        traj = walk_to_nash(g, tie_break)
+    _assert_steps_score_their_states(g, traj, len(traj.steps))
+
+
 def test_chain_worst_walk_gathers_match_one_state_sums():
     g = build_common_interest_chain(2000, 0.5).game
     _, traj = adversarial_min_welfare(g, 1)
