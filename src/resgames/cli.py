@@ -54,17 +54,17 @@ def _rules(args, n, f_len=None):
 
 
 def grid(text):
-    """A number, or start:stop:step with a finite nonzero step toward stop and at most 10^6 points."""
+    """A number, or start:stop:step with a finite nonzero step toward stop and at most 10^6 points,
+    the last one not past stop."""
     if ":" not in text:
         return [float(text)]
     start, stop, step = (float(t) for t in text.split(":"))
     if not all(map(math.isfinite, (start, stop, step))) or step == 0 or (stop - start) * step < 0:
         raise ValueError(text)
-    span = (stop - start) / step
-    if not span < 10**6 - 0.5:  # round(span) + 1 points; an overflow to inf fails here too
+    span = (stop - start) / step + 1e-9  # a last point a rounding short of stop is kept
+    if not span < 10**6:  # floor(span) + 1 points; an overflow to inf fails here too
         raise ValueError(text)
-    n = int(round(span))
-    return [start + i * step for i in range(n + 1)]
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def comma_ints(text):

@@ -189,9 +189,12 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
 class DesignSpec:
     """Serializable choice of utility design for experiment configs and the CLI.
 
-    ``c`` (and for pareto, ``chi``/``q``) may be left None to be resolved from
-    the measured curvature of the welfare rule the design is applied to.
-    A field of the wrong type or an unknown family is a :class:`ValidationError`.
+    ``c`` may be left None to be resolved from the measured curvature of the
+    welfare rule the design is applied to.  ``pareto`` takes exactly one of
+    ``chi`` or ``q``, and no other family takes either.  ``c`` and ``b`` are
+    accepted on every family, since the CLI's ``--C`` and ``--b`` also shape
+    the bent welfare rule.  A field of the wrong type or an unknown family is
+    a :class:`ValidationError`.
     """
 
     family: str  # common_interest | one_round | asymptotic | pareto
@@ -207,6 +210,10 @@ class DesignSpec:
         for name in ("c", "chi", "q"):
             if not (getattr(self, name) is None or isinstance(getattr(self, name), Real)):
                 raise ValidationError(f"design {name} must be a real number or null")
+        if self.family != "pareto" and (self.chi is not None or self.q is not None):
+            raise ValidationError(f"design {self.family} reads neither chi nor q")
+        if self.family == "pareto" and (self.chi is None) == (self.q is None):
+            raise ValidationError("give exactly one of chi or q")
         if not (isinstance(self.b, Integral) and self.b >= 1):
             raise ValidationError("design b must be a positive integer")
         if not (self.label is None or isinstance(self.label, str)):

@@ -234,10 +234,8 @@ class _AdversarialSearch:
     unpruned search.  A state some of whose walks were pruned is exact only
     when the pruned part cannot win: its lower bound, less ``eps / 2``, is
     above the best value, or equal to it if it lies after the best action in
-    tie order.  Otherwise the entry is ``(value, action, bound)``, the best
-    walk it did finish and a lower bound on the rest; it prunes a later
-    visit only if it passes a state's test, and the state is searched again
-    otherwise.  A walk pruned against the least finished walk keeps ``eps``
+    tie order.  An inexact state is not memoised, and a later visit searches
+    it again.  A walk pruned against the least finished walk keeps ``eps``
     of margin, so it cannot make a state on that walk inexact, and the first
     minimizing walk is never pruned: every state on it ends exact.
     """
@@ -272,7 +270,7 @@ class _AdversarialSearch:
         ]
         widest = max(n + 1, max(map(len, g.actions)))
         self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
-        self.memo: list[dict[bytes, tuple]] = [{} for _ in range(n_steps)]
+        self.memo: list[dict[bytes, tuple[float, int]]] = [{} for _ in range(n_steps)]
         self.explored = self.pruned = 0
 
         W, U, F = g.welfare_tables, g.utility_tables, g.cumulative_utility_tables
@@ -376,8 +374,7 @@ class _AdversarialSearch:
                     i = sched[t]
                     old, phi = joint[i], self.phi
                     key = lift(t)
-                    hit = memo[t].get(key)  # a lower-bound entry that no longer prunes is searched again
-                    if hit is None or len(hit) == 3 and acc + min(hit[0], hit[2]) - eps < upper:
+                    if (hit := memo[t].get(key)) is None:
                         self.explored += 1
                         if self.explored > self.cap:
                             raise EnumerationCapError(self.explored, self.cap, None if upper == inf else upper)
@@ -388,9 +385,6 @@ class _AdversarialSearch:
                         set_(i, old)
                         self.phi = phi
                         rest = hit[0]
-                        if len(hit) == 3:
-                            low = hit[2]
-                            self.pruned += 1
             if rest is not None and acc + rest < upper:
                 upper = acc + rest
             while stack:
@@ -419,7 +413,6 @@ class _AdversarialSearch:
                     low = inf
                 else:
                     low = min(before, after)
-                    memo[t][key] = (best, best_act, low)
                 rest = best
                 stack.pop()
             else:
@@ -504,11 +497,9 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     joint forever, so these are exactly the limit points under adversarial
     ties.  A joint is Nash when all n of its states keep the mover's action.
 
-    A state is skipped when ``alpha * (Phi(s) + waiting - delta * paths) - eps``
+    A state is skipped when ``alpha * (Phi(s) - delta * paths) - eps``
     exceeds the least Nash welfare found so far, with the potential, ``alpha``,
-    ``delta`` and ``eps`` of :class:`_AdversarialSearch`.  ``waiting`` sums
-    ``u_min[i]`` over the empty players with ``u_min[i] > TOL``, whose empty
-    action is no tie, so they leave it before any Nash joint; ``paths``, the
+    ``delta`` and ``eps`` of :class:`_AdversarialSearch`; ``paths``, the
     game's count of (mover, joint) states, bounds the moves of a path that
     visits no state twice.  The test is strict and reads the state alone, so
     no Nash joint of the least welfare is skipped, even on an exact game,
@@ -517,11 +508,10 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     n = g.n_players
     search = _AdversarialSearch(g, round_robin_schedule(n, 1), cap)
     search._reset()
-    joint, null, alpha = search.joint, g.null_action, search.alpha
-    leave = [u if u > TOL else 0.0 for u in search.u_min]
+    joint, alpha = search.joint, search.alpha
     drop = 0.0 if search.exact else TOL * n * math.prod(float(len(a)) for a in g.actions)
     eps = search._slack(cap, drop)  # the stack holds at most cap states
-    state, waiting = (0, search.S[:n].tobytes()), sum(leave)
+    state = (0, search.S[:n].tobytes())
     seen, stays, stack, best = {state}, Counter(), [], None
     while True:
         i, key = state
@@ -530,21 +520,20 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
         if stays[key] == n:
             nash = (welfare(g, joint), tuple(joint))
             best = nash if best is None else min(best, nash)
-        stack.append((i, joint[i], iter(ties), search.phi, waiting))
+        stack.append((i, joint[i], iter(ties), search.phi))
         while True:
             while (nxt := next(stack[-1][2], None)) is None:
-                i, old, _, phi, _ = stack.pop()
+                i, old, _, phi = stack.pop()
                 search._set(i, old)
                 search.phi = phi
                 if not stack:
                     return best
-            i, old, _, _, waiting = stack[-1]
+            i = stack[-1][0]
             search._set(i, nxt)
-            waiting += leave[i] * ((nxt == null[i]) - (old == null[i]))
             state = ((i + 1) % n, search.S[:n].tobytes())
             if state in seen:
                 continue
-            if best is not None and alpha * (search.phi + waiting - drop) - eps > best[0]:
+            if best is not None and alpha * (search.phi - drop) - eps > best[0]:
                 search.pruned += 1
                 continue
             break

@@ -372,6 +372,31 @@ def test_pareto_chi_above_one_is_refused(capsys):
     assert capsys.readouterr().err.startswith("error: chi must lie in [1/(e-1), 1]")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--design", "one_round", "--chi", "0.7"], "design one_round reads neither chi nor q"),
+    (["--design", "asymptotic", "--q", "0.6"], "design asymptotic reads neither chi nor q"),
+])
+def test_design_refuses_chi_and_q_its_family_does_not_read(capsys, argv, message):
+    assert main(["design", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_grid_stops_at_stop(capsys):
+    # the last point may not pass stop, however close the step count is to a half
+    assert cli.grid("0:1:0.38") == [0.0, 0.38, 0.76]
+    assert main(["analyze", "--route", "bounds", "--C-grid", "0:1:0.38", "--k", "one", "--design", "optimal"]) == 0
+    assert [l.split(",")[0] for l in capsys.readouterr().out.splitlines()[1:]] == ["0.0", "0.38", "0.76"]
+    assert cli.grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert cli.grid("0:1:0.1") == [i * 0.1 for i in range(11)]
+    assert cli.grid("0:0.3:0.1")[-1] == 0.30000000000000004  # 2.9999999999999996 steps reach stop
+    assert cli.grid("1:0:-0.5") == [1.0, 0.5, 0.0]
+    qs = cli.grid("0.5:0.6321205588285577:0.005")  # the README's frontier grid
+    assert len(qs) == 27 and qs[-1] == 0.5 + 26 * 0.005
+    assert len(cli.grid("0:999999:1")) == 10**6  # the most points a grid may have
+    with pytest.raises(ValueError):
+        cli.grid("0:1000000:1")
+
+
 def test_analyze_refuses_flags_its_route_does_not_read(capsys):
     argv = ["analyze", "--route", "bounds", "--welfare", "wta", "--N", "9", "--Q-grid", "0.6",
             "--C-grid", ".5", "--design", "optimal"]

@@ -218,6 +218,12 @@ def test_designs_use_a_small_scale_rule_as_given(p, family):
     {"family": "asymptotic", "b": 0},
     {"family": "asymptotic", "b": 1.5},
     {"family": "one_round", "label": 3},
+    {"family": "one_round", "chi": 0.7},  # a field the family never reads
+    {"family": "common_interest", "q": 0.6},
+    {"family": "asymptotic", "chi": 1.0, "b": 2},
+    {"family": "pareto"},  # pareto reads exactly one of chi or q
+    {"family": "pareto", "chi": 1.0, "q": 0.5},
+    {"family": "pareto", "c": 0.5},
 ])
 def test_design_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ValidationError):

@@ -528,27 +528,34 @@ def _searched(g, k):
 
 def _chain_search(n, c, k):
     search, val = _searched(build_common_interest_chain(n, c).game, k)
-    return val, search.explored, search.reconstruct()
+    entries = [entry for memo in search.memo for entry in memo.values()]
+    return val, search.explored, entries, search.reconstruct()
 
 
-# (n, C, k), the visited-state count, the value's float.hex and the worst
-# walk's actions (one digit per round-robin step) and final state.  The
-# values, walks and finals were recorded when the search keyed its memo on
-# tuples and the tables spanned n_players + 1 counts, and the last four rows
-# before the search pruned; the visited counts once the potential bound
-# pruned.  On the exact chains (C = 0, 0.5) only the first walk is searched,
-# n * k states; the others prune strictly, with a rounding slack.
-@pytest.mark.parametrize("n, c, k, visited, value, actions, final", [
-    (12, 0.0, 3, 36, "0x1.8000000000000p+3", "1" * 36, (1,) * 12),
-    (30, 0.5, 2, 60, "0x1.e000000000000p+4", "1" * 60, (1,) * 30),
-    (200, 0.95, 2, 1192, "0x1.9000000000000p+7", "1" * 400, (1,) * 200),
-    (60, 0.15, 3, 586, "0x1.e000000000000p+5", "1" * 179 + "2", (1,) * 59 + (2,)),
-    (14, 0.0, 3, 42, "0x1.c000000000000p+3", "1" * 42, (1,) * 14),
-    (2000, 0.35, 1, 3998, "0x1.f400000000000p+10", "1" * 2000, (1,) * 2000),
+# (n, C, k), the visited-state and memo-entry counts, the value's float.hex
+# and the worst walk's actions (one digit per round-robin step) and final
+# state.  The values, walks and finals were recorded when the search keyed
+# its memo on tuples and the tables spanned n_players + 1 counts, and the
+# last four rows before the search pruned; the visited counts once the
+# potential bound pruned, and the entry counts once only exact states were
+# memoised.  On the exact chains (C = 0, 0.5) only the first walk is
+# searched, n * k states, each exact; the others prune strictly, with a
+# rounding slack, so a state whose pruned walk may tie its best one ends
+# inexact and is not memoised.
+@pytest.mark.parametrize("n, c, k, visited, memoised, value, actions, final", [
+    (12, 0.0, 3, 36, 36, "0x1.8000000000000p+3", "1" * 36, (1,) * 12),
+    (30, 0.5, 2, 60, 60, "0x1.e000000000000p+4", "1" * 60, (1,) * 30),
+    (200, 0.95, 2, 1192, 401, "0x1.9000000000000p+7", "1" * 400, (1,) * 200),
+    (60, 0.15, 3, 586, 181, "0x1.e000000000000p+5", "1" * 179 + "2", (1,) * 59 + (2,)),
+    (14, 0.0, 3, 42, 42, "0x1.c000000000000p+3", "1" * 42, (1,) * 14),
+    (2000, 0.35, 1, 3998, 2001, "0x1.f400000000000p+10", "1" * 2000, (1,) * 2000),
 ], ids=["n12-C0-k3", "n30-C.5-k2", "n200-C.95-k2", "n60-C.15-k3", "n14-C0-k3", "n2000-C.35-k1"])
-def test_adversarial_chain_search_is_pinned(n, c, k, visited, value, actions, final):
-    val, explored, traj = _chain_search(n, c, k)
+def test_adversarial_chain_search_is_pinned(n, c, k, visited, memoised, value, actions, final):
+    val, explored, entries, traj = _chain_search(n, c, k)
     assert explored == visited
+    # every entry is exact, a (value, action) pair
+    assert len(entries) == memoised
+    assert all(type(v) is float and type(a) is int for v, a in entries)
     assert val.hex() == value
     assert traj.final_welfare.hex() == value
     steps = [(s.player, s.action) for s in traj.steps]

@@ -139,6 +139,10 @@ def test_config_rejects_non_integer_counts_and_unknown_keys():
         ExperimentConfig.from_dict({"bogus": 1})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"designs": [{"family": "one_round", "bogus": 1}]})
+    with pytest.raises(ValidationError, match="one_round reads neither chi nor q"):
+        ExperimentConfig.from_dict({"designs": [{"family": "one_round", "chi": 0.7}]})
+    with pytest.raises(ValidationError, match="give exactly one of chi or q"):
+        ExperimentConfig.from_dict({"designs": [{"family": "pareto"}]})
 
 
 def test_config_rejects_designs_with_the_same_name():
