@@ -69,9 +69,12 @@ def one_round_setcov(f: UtilityRule, j_trunc: int) -> float:
 
     The truncated sum under-counts a divergent series, so the value is
     nonincreasing in ``j_trunc`` and an upper bound on the true guarantee.
+    f(1) must be 1, the set-covering w(1), the scale this guarantee reads.
     """
     if j_trunc < 1:
         raise ValidationError("j_trunc must be positive")
+    if abs(f.values[0] - 1.0) > TOL:
+        raise ValidationError("one_round_setcov: f(1) must equal w(1) = 1")
     return _setcov_one_round(f.table(j_trunc)[1:])
 
 
@@ -106,9 +109,12 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         1/poa = 1 + max_{1<=j<=n-1} { j f(j) - f(j+1), (n-1) f(n) }.
     family="bent": bent welfare rule with a nonincreasing f, f(1) = 1,
         1/poa = max_{1<=l<=j} (w(l) + j f(j) - l f(j+1)) / w(j), j up to j_max.
+
+    Both read f at f(1) = w(1) and raise :class:`ValidationError` otherwise.
     """
     if family == "setcov":
         _check_setcov(w)
+        _check_first_values(w, f, "poa_closed_form")
         if n is None or n < 1:
             raise ValidationError("setcov closed form needs the number of agents n")
         if n == 1:
@@ -120,7 +126,8 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         return BoundResult(1.0 / (1.0 + worst), False)
     if family == "bent":
         _check_bent(w)
-        if not f.is_nonincreasing() or abs(f.values[0] - 1.0) > TOL:
+        _check_first_values(w, f, "poa_closed_form")
+        if not f.is_nonincreasing():
             raise ValidationError("bent closed form needs a nonincreasing f with f(1) = 1")
         jm = j_max if j_max is not None else 200
         if jm < 1:

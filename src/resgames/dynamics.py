@@ -108,35 +108,34 @@ def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[in
     return sched
 
 
-def _ties(g: Game, counts: Sequence[int], i: int, current: int) -> list[int]:
-    """Player i's best actions, ties at TOL, against ``counts`` that still
-    include its ``current`` action.  ``counts`` is left unchanged."""
-    urows = g._utility_rows
-    own = g.action_resources[i][current]
-    utils = [
-        sum(urows[r][counts[r] + (r not in own)] for r in res)
-        for res in g.action_resources[i]
-    ]
+def _ties(g: Game, counts: Sequence[int], i: int, rows: list[list[float]] | None = None) -> list[int]:
+    """Player i's best actions, ties at TOL, against ``counts`` taken with
+    player i lifted to its empty action: action k scores the sum of
+    ``rows[r][counts[r] + 1]`` over its resources r, ``rows`` the utility
+    rows unless given.  ``counts`` is left unchanged."""
+    rows = g._utility_rows if rows is None else rows
+    utils = [sum(rows[r][counts[r] + 1] for r in res) for res in g.action_resources[i]]
     top = max(utils)
     return [k for k, u in enumerate(utils) if u >= top - TOL]
 
 
 def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
     """All argmax action indices for player i against a_{-i}, ties at TOL."""
-    i = g.validate_player(i)
-    return _ties(g, selection_counts(g, a).tolist(), i, a[i])
+    i, a = g.validate_player(i), g.validate_joint(a)
+    return _ties(g, selection_counts(g, (*a[:i], g.null_action[i], *a[i + 1:])).tolist(), i)
 
 
 def is_nash(g: Game, a: Sequence[int]) -> bool:
-    """True iff every player's current action is one of its best responses."""
-    counts = selection_counts(g, a).tolist()
-    return all(a[i] in _ties(g, counts, i, a[i]) for i in range(g.n_players))
+    """True iff one incumbent-keeping round from ``a`` leaves it unchanged,
+    the fixed point :func:`walk_to_nash` stops on."""
+    a = g.validate_joint(a)
+    return _walk(g, a, round_robin_schedule(g.n_players, 1), _deterministic(g, INCUMBENT_THEN_LEX)).final == a
 
 
 def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Trajectory:
     """The walk from ``start`` in which ``choose(t, i, joint, counts)`` picks
-    the action of ``schedule[t]``; ``joint`` and ``counts`` are the state
-    before the move and must not be changed.
+    the action of ``schedule[t]``; ``joint`` is the state before the move and
+    ``counts`` its counts with the mover lifted, and neither may be changed.
 
     Each step's per-resource welfare and potential terms are kept in two
     running rows, and a move rewrites only the entries of the resources it
@@ -156,11 +155,10 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
     wflat, pflat = memoryview(wblock.reshape(-1)), memoryview(pblock.reshape(-1))
     acts, wel, pot = [], [], []
     for t, i in enumerate(schedule):
-        choice = choose(t, i, joint, counts)
         for r in g.action_resources[i][joint[i]]:
             counts[r] -= 1
             wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
-        joint[i] = choice
+        choice = joint[i] = choose(t, i, joint, counts)
         for r in g.action_resources[i][choice]:
             counts[r] += 1
             wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
@@ -182,7 +180,7 @@ def _deterministic(g: Game, tie_break: str):
     keep = tie_break == INCUMBENT_THEN_LEX
 
     def choose(t, i, joint, counts):
-        ties = _ties(g, counts, i, joint[i])
+        ties = _ties(g, counts, i)
         return joint[i] if keep and joint[i] in ties else ties[0]
 
     return choose
@@ -200,11 +198,9 @@ class _AdversarialSearch:
     the mover lifted to its empty action.  Every other resource has its
     welfare finalized and is left out of the memo key, so the reachable-state
     blowup from long tie chains stays bounded by what the still-active
-    resources distinguish.  The lift is exact: ``_ties`` scores a held action
-    on the counts without it plus one, which is what the lifted counts with
-    an empty own action give, in the same order, and the move then
-    overwrites the action.  So every state that lifts to one key has the
-    same ties and the same children.  One int16 mirror ``S`` (int32 when a
+    resources distinguish.  ``_ties`` reads the lifted counts, and the move
+    overwrites the mover's action, so every state that lifts to one key has
+    the same ties and the same children.  One int16 mirror ``S`` (int32 when a
     count or an action index may not fit) holds the players' actions in
     ``[0, n)``, ordered by last step, latest last, and the resources' counts
     in ``[n, n + R)``, latest first.  The players that still move then end
@@ -356,7 +352,7 @@ class _AdversarialSearch:
         ``before`` and ``after`` bound what its pruned walks reach, ordered
         before and after that child."""
         self._reset()
-        g, sched, null, counts = self.g, self.schedule, self.g.null_action, self.counts
+        g, sched, counts = self.g, self.schedule, self.counts
         joint, memo, fin_after, gain = self.joint, self.memo, self.finalized_after, self.gain
         alpha, eps, half, inf = self.alpha, self.eps, self.eps / 2, math.inf
         set_, lift = self._set, self._lift
@@ -378,7 +374,7 @@ class _AdversarialSearch:
                         self.explored += 1
                         if self.explored > self.cap:
                             raise EnumerationCapError(self.explored, self.cap, None if upper == inf else upper)
-                        stack.append([t, acc, fin, phi, key, old, iter(_ties(g, counts, i, null[i])),
+                        stack.append([t, acc, fin, phi, key, old, iter(_ties(g, counts, i)),
                                       -1, 0.0, inf, -1, True, inf, inf])
                         rest = None
                     else:
@@ -515,12 +511,14 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     seen, stays, stack, best = {state}, Counter(), [], None
     while True:
         i, key = state
-        ties = _ties(g, search.counts, i, joint[i])
-        stays[key] += joint[i] in ties
+        held, phi = joint[i], search.phi
+        search._set(i, g.null_action[i])
+        ties = _ties(g, search.counts, i)
+        stays[key] += held in ties
         if stays[key] == n:
-            nash = (welfare(g, joint), tuple(joint))
-            best = nash if best is None else min(best, nash)
-        stack.append((i, joint[i], iter(ties), search.phi))
+            nash = (*joint[:i], held, *joint[i + 1:])
+            best = min(best or (math.inf,), (welfare(g, nash), nash))
+        stack.append((i, held, iter(ties), phi))
         while True:
             while (nxt := next(stack[-1][2], None)) is None:
                 i, old, _, phi = stack.pop()
@@ -585,26 +583,26 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     # whatever the rules' shape.  slack stays far above the rounding of the
     # bound and of score, each under (n + n_res)**2 * 2**-52 of the table mass.
     inc = np.diff(wtab, axis=1)
-    iflat = inc.T.ravel()
     gflat = np.maximum.accumulate(inc[:, ::-1], axis=1)[:, ::-1].T.ravel()
     slack = (n + n_res + 1) ** 2 * 2.0**-44 * float(np.abs(wtab).sum())
 
-    # threshold: the welfare reached by best-response sweeps from the empty
-    # allocation, the first of which is a greedy fill.  Every move raises
-    # welfare by more than slack, so the sweeps end.
-    joint = list(g.null_action)
-    offsets = np.arange(n_res)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n):
-            offsets -= step[i][joint[i]]
-            gains = onehot[i] @ iflat[offsets]
-            a = int(np.argmax(gains))
-            if gains[a] > gains[joint[i]] + slack:
-                joint[i], moved = a, True
-            offsets += step[i][joint[i]]
-    threshold = float(score(offsets))
+    # threshold: a welfare attained, that of the incumbent-keeping walk of the
+    # common-interest game (each selector's utility its welfare increment)
+    # from the empty allocation, run to its fixed point or the walks' ceiling.
+    rows = np.diff(wtab, prepend=0.0).tolist()
+    joint, counts = list(g.null_action), [0] * n_res
+    for _ in range(_WALK_STEP_CEILING // n):
+        before = joint[:]
+        for i, acts in enumerate(g.action_resources):
+            for r in acts[joint[i]]:
+                counts[r] -= 1
+            if joint[i] not in (ties := _ties(g, counts, i, rows)):
+                joint[i] = ties[0]
+            for r in acts[joint[i]]:
+                counts[r] += 1
+        if joint == before:
+            break
+    threshold = welfare(g, joint)
 
     split, block = n - 1, sizes[-1]
     while split > 0 and block * sizes[split - 1] <= _BLOCK:
@@ -670,9 +668,9 @@ def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> 
 def one_round_can_end_at(g: Game, target: Sequence[int]) -> bool:
     """Whether some tie resolution of a one-round walk ends exactly at ``target``."""
     target = g.validate_joint(target)
-    counts = [0] * g.n_resources  # the null allocation's
-    for i, empty in enumerate(g.null_action):
-        if target[i] not in _ties(g, counts, i, empty):
+    counts = [0] * g.n_resources  # the null allocation's, so each mover is lifted
+    for i in range(g.n_players):
+        if target[i] not in _ties(g, counts, i):
             return False
         for r in g.action_resources[i][target[i]]:
             counts[r] += 1

@@ -6,6 +6,7 @@ of execution order; the exported CSV is byte-identical on re-run.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -167,7 +168,8 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[Row]) -> list[SummaryRow]:
 
 def export_result(res: ExperimentResult, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write raw.csv / summary.csv and-or result.json; floats use shortest
-    round-trip formatting so identical runs export identical bytes."""
+    round-trip formatting so identical runs export identical bytes, and the
+    csv module quotes a design label that holds a comma, quote or line break."""
     if fmt not in ("csv", "json", "both"):
         raise ValidationError("format must be csv, json, or both")
     out = Path(out_dir)
@@ -177,17 +179,13 @@ def export_result(res: ExperimentResult, fmt: str, out_dir: str | Path) -> list[
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     paths = []
     if fmt in ("csv", "both"):
-        raw = out / "raw.csv"
-        with raw.open("w", newline="") as fh:
-            fh.write("instance,design,round,welfare,normalized_welfare\n")
-            for row in res.rows:
-                fh.write(f"{row.instance},{row.design},{row.round},{row.welfare!r},{row.normalized_welfare!r}\n")
-        summ = out / "summary.csv"
-        with summ.open("w", newline="") as fh:
-            fh.write("design,round,min,q1,median,q3,max\n")
-            for s in res.summary:
-                fh.write(f"{s.design},{s.round},{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r}\n")
-        paths += [raw, summ]
+        for name, rows, fields in (("raw.csv", res.rows, Row._fields),
+                                   ("summary.csv", res.summary, SummaryRow._fields)):
+            with (out / name).open("w", newline="") as fh:
+                table = csv.writer(fh, lineterminator="\n")
+                table.writerow(fields)
+                table.writerows(rows)  # str(float) is its shortest round-trip repr
+            paths.append(out / name)
     if fmt in ("json", "both"):
         jpath = out / "result.json"
         payload = {
@@ -203,12 +201,19 @@ def export_result(res: ExperimentResult, fmt: str, out_dir: str | Path) -> list[
 
 
 def load_raw_csv(path: str | Path) -> list[Row]:
+    """The rows of a raw.csv that :func:`export_result` wrote."""
     rows = []
-    with Path(path).open() as fh:
-        header = fh.readline().strip()
-        if header != "instance,design,round,welfare,normalized_welfare":
-            raise ValidationError(f"unexpected raw csv header: {header}")
-        for line in fh:
-            inst, design, rnd, w, nw = line.rstrip("\n").split(",")
-            rows.append(Row(int(inst), design, int(rnd), float(w), float(nw)))
+    with Path(path).open(newline="") as fh:
+        table = csv.reader(fh)
+        header = next(table, [])
+        if tuple(header) != Row._fields:
+            raise ValidationError(f"unexpected raw csv header: {','.join(header)}")
+        for line in table:
+            if len(line) != len(Row._fields):
+                raise ValidationError(f"raw csv line {table.line_num} has {len(line)} fields, not 5")
+            inst, design, rnd, w, nw = line
+            try:
+                rows.append(Row(int(inst), design, int(rnd), float(w), float(nw)))
+            except ValueError as exc:
+                raise ValidationError(f"raw csv line {table.line_num}: {exc}") from exc
     return rows

@@ -288,8 +288,8 @@ class Game:
         """(n_resources, max(max_selectors) + 2) array of v_r * w_r(count).
 
         No count passes ``max_selectors[r]``; the one spare count lets the
-        greedy sweep of :func:`~resgames.dynamics.optimum` read the increment
-        past the last reachable count.
+        completion bound of :func:`~resgames.dynamics.optimum` read the
+        increment past the last reachable count.
         """
         return self._value_rows([r.welfare for r in self.resources])
 

@@ -57,6 +57,24 @@ def test_one_round_bound_refuses_f_off_the_design_scale():
             one_round_bound(w, f.scaled(s), 50)
 
 
+def test_closed_forms_refuse_f_off_the_design_scale():
+    # at 2f the set-covering closed form read 0.41666666666666663 against the
+    # LP's 0.588235294117647, and one_round_setcov read 0.2 against 1/3 at f
+    w = make_welfare_rule("set_covering", 12)
+    f = make_utility_rule((1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0, 0.0, 0.0, 0.0))
+    assert poa_closed_form(w, f, "setcov", n=5).value == pytest.approx(poa_lp(w, f.scaled(2.0), 5), abs=1e-12)
+    assert one_round_setcov(f, 5) == pytest.approx(1 / 3, abs=1e-15)
+    bent = make_welfare_rule("bent", 12, b=1, curvature=0.5)
+    for call in (lambda s: poa_closed_form(w, f.scaled(s), "setcov", n=5),
+                 lambda s: poa_closed_form(bent, design_one_round(0.5, 12).scaled(s), "bent")):
+        for s in (2.0, 0.5):
+            with pytest.raises(ValidationError, match=r"^poa_closed_form: f\(1\) must equal w\(1\)$"):
+                call(s)
+    for s in (2.0, 0.5):
+        with pytest.raises(ValidationError, match=r"^one_round_setcov: f\(1\) must equal w\(1\) = 1$"):
+            one_round_setcov(f.scaled(s), 5)
+
+
 def test_one_round_bound_truncation_flag():
     # constant f on set covering diverges with the index bound
     wsc = make_welfare_rule("set_covering", 52)

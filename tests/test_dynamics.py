@@ -65,6 +65,13 @@ def test_best_responses_examples(trap_ci, trap_designed):
     assert best_responses(trap_designed, (2, 0), 1) == [1]
 
 
+def test_best_responses_checks_the_joint_before_lifting_the_player(trap_ci):
+    # the scan lifts player 1 to its empty action, so its entry is checked first
+    from resgames import ValidationError
+    with pytest.raises(ValidationError, match=r"^player 1 action 99 is not an index in \[0, 3\)$"):
+        best_responses(trap_ci, (0, 99), 1)
+
+
 def test_best_responses_symmetric_tie():
     w = make_welfare_rule("set_covering", 2)
     f = UtilityRule((1.0, 0.0))

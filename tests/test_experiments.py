@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -170,6 +171,32 @@ def test_load_raw_csv_refuses_a_wrong_header(tmp_path):
     path.write_text("instance,design,round,welfare\n0,ci,1,1.0\n")
     with pytest.raises(ValidationError, match="unexpected raw csv header: instance,design,round,welfare"):
         load_raw_csv(path)
+
+
+@pytest.mark.parametrize("record,message", [
+    ("0,ci,1,1.0", "raw csv line 2 has 4 fields, not 5"),
+    ("0,ci,one,1.0,0.5", "raw csv line 2: invalid literal for int"),
+    ("0,ci,1,1.0,half", "raw csv line 2: could not convert string to float"),
+])
+def test_load_raw_csv_refuses_a_malformed_record(tmp_path, record, message):
+    path = tmp_path / "raw.csv"
+    path.write_text(f"instance,design,round,welfare,normalized_welfare\n{record}\n")
+    with pytest.raises(ValidationError, match=message):
+        load_raw_csv(path)
+
+
+def test_a_label_with_a_comma_quote_and_line_break_round_trips(tmp_path):
+    label = 'a,"b"\nc'
+    cfg = ExperimentConfig(n_agents=3, n_targets=4, n_instances=3, rounds=2,
+                           designs=(DesignSpec("common_interest", label=label),))
+    res = run_experiment(cfg)
+    raw, summ = export_result(res, "csv", tmp_path)
+    assert load_raw_csv(raw) == res.rows
+    with summ.open(newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header == ["design", "round", "min", "q1", "median", "q3", "max"]
+    assert [(r[0], int(r[1]), *map(float, r[2:])) for r in records] == res.summary
+    assert {r[0] for r in records} == {label}
 
 
 def test_export_under_a_regular_file_names_the_directory(tmp_path):

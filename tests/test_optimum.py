@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import resgames
 from resgames import ExperimentConfig, Game, Resource, UtilityRule, WelfareRule, dynamics, gen_wta, optimum
 
-from conftest import brute_force_optimum
+from conftest import brute_force_optimum, random_game
 
 # Few distinct increments and values make exact float ties common.
 INCREMENTS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -64,6 +65,17 @@ def test_optimum_matches_brute_force_on_wta_instances():
     cfg = ExperimentConfig(master_seed=1)
     for i in range(20):
         g = gen_wta(cfg, i)
+        assert_bitwise_equal(optimum(g), brute_force_optimum(g))
+
+
+def test_optimum_matches_brute_force_where_every_increment_ties():
+    # at 1e-12 every welfare increment ties at the absolute TOL, so the bound
+    # walk stays at the null allocation: only the pruning weakens
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        base = random_game(rng)
+        g = Game(tuple(Resource(r.rid, r.welfare, r.utility, r.value * 1e-12) for r in base.resources),
+                 base.actions)
         assert_bitwise_equal(optimum(g), brute_force_optimum(g))
 
 
