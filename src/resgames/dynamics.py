@@ -225,11 +225,12 @@ class _AdversarialSearch:
     delta = eps = 0 and a state is pruned at equality: the walk found
     earlier wins the tie.
 
-    A memo entry ``(value, action)`` is exact: the least welfare to come and
-    the first action in tie order that attains it, bit for bit those of the
-    unpruned search.  A state some of whose walks were pruned is exact only
+    A memo entry ``(value, walk)`` is exact: the least welfare to come and
+    the first walk in tie order that attains it, bit for bit those of the
+    unpruned search; a walk is a linked pair ``(action, walk)``, None past
+    the last step.  A state some of whose walks were pruned is exact only
     when the pruned part cannot win: its lower bound, less ``eps / 2``, is
-    above the best value, or equal to it if it lies after the best action in
+    above the best value, or equal to it if it lies after the best walk in
     tie order.  An inexact state is not memoised, and a later visit searches
     it again.  A walk pruned against the least finished walk keeps ``eps``
     of margin, so it cannot make a state on that walk inexact, and the first
@@ -266,8 +267,14 @@ class _AdversarialSearch:
         ]
         widest = max(n + 1, max(map(len, g.actions)))
         self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
-        self.memo: list[dict[bytes, tuple[float, int]]] = [{} for _ in range(n_steps)]
+        self.memo: list[dict[bytes, tuple[float, tuple | None]]] = [{} for _ in range(n_steps)]
         self.explored = self.pruned = 0
+        # the null allocation, where every search starts and ends
+        self.joint = list(g.null_action)
+        self.counts = [0] * g.n_resources
+        self.phi = 0.0
+        # a memoryview: item updates and slice bytes cost less than on the array
+        self.S = memoryview(np.array([self.joint[i] for i in self.players] + self.counts, dtype=self.dtype))
 
         W, U, F = g.welfare_tables, g.utility_tables, g.cumulative_utility_tables
         cols = np.arange(W.shape[1])
@@ -310,15 +317,6 @@ class _AdversarialSearch:
         ops = depth * (2 * max(map(len, g.actions)) + 3) * width + g.n_players + g.n_resources + 1
         return ops * 2.0**-44 * (self.mass + drop)
 
-    def _reset(self) -> None:
-        """Puts ``joint``, ``counts``, ``phi`` and ``S`` at the null allocation."""
-        null = self.g.null_action
-        self.joint = list(null)
-        self.counts = [0] * self.g.n_resources  # the null allocation's
-        self.phi = 0.0
-        # a memoryview: item updates and slice bytes cost less than on the array
-        self.S = memoryview(np.array([null[i] for i in self.players] + self.counts, dtype=self.dtype))
-
     def _set(self, i: int, a: int) -> None:
         """Moves player i to action ``a`` in ``joint``, ``counts``, ``phi`` and ``S``."""
         counts, S, moves, phi = self.counts, self.S, self.moves[i], self.phi
@@ -333,34 +331,31 @@ class _AdversarialSearch:
             phi += urow[counts[r]]
         self.phi = phi
 
-    def _lift(self, t: int) -> bytes:
-        """Moves step t's mover to its empty action and returns the memo key."""
-        i = self.schedule[t]
-        if self.joint[i] != self.g.null_action[i]:
-            self._set(i, self.g.null_action[i])
-        return self.S[self.lo[t]:self.hi[t]].tobytes()
-
     def run(self) -> float:
         """The least final welfare, searched from an explicit stack of frames
-        ``[t, acc, fin, phi, key, old, ties, action, released, best, best
-        action, sure, before, after]``, so the depth never touches the
+        ``[t, acc, fin, phi, key, old, ties, action, released, best,
+        best_walk, sure, before, after]``, so the depth never touches the
         interpreter's recursion limit.  A frame is an unmemoised state at
         step t with welfare ``acc`` and potential ``fin`` finalized and
         potential ``phi``; it restores the mover's ``old`` action and ``phi``
-        when its ties are spent.  ``best`` is the least value its finished
-        walks reach, ``sure`` whether the child that reaches it is exact, and
-        ``before`` and ``after`` bound what its pruned walks reach, ordered
-        before and after that child."""
-        self._reset()
-        g, sched, counts = self.g, self.schedule, self.counts
+        when its ties are spent, so the search ends at the null allocation it
+        starts from.  ``best`` is the least value its finished walks reach,
+        ``best_walk`` the first walk that reaches it, ``sure`` whether that
+        child is exact, and ``before`` and ``after`` bound what its pruned
+        walks reach, ordered before and after it.  A memo hit hands up its
+        value and walk as a finished frame does; the root's walk is left in
+        ``self.walk``."""
+        g, sched, counts, null = self.g, self.schedule, self.counts, self.g.null_action
         joint, memo, fin_after, gain = self.joint, self.memo, self.finalized_after, self.gain
+        S, lo, hi = self.S, self.lo, self.hi
         alpha, eps, half, inf = self.alpha, self.eps, self.eps / 2, math.inf
-        set_, lift = self._set, self._lift
+        set_ = self._set
         stack, t, acc, fin, upper = [], 0, 0.0, 0.0, inf  # upper: the least finished walk
         while True:
             # the state's least welfare to come over the walks it finished,
-            # and a lower bound on its pruned walks; None while a new frame has no child
-            rest, low = 0.0, inf
+            # the first walk that reaches it, and a lower bound on its pruned
+            # walks; rest is None while a new frame has no child
+            rest, walk, low = 0.0, None, inf
             if t < len(sched):
                 bound = max(0.0, alpha * (self.phi - fin + gain[t]))
                 if acc + bound - eps >= upper:
@@ -369,30 +364,32 @@ class _AdversarialSearch:
                 else:
                     i = sched[t]
                     old, phi = joint[i], self.phi
-                    key = lift(t)
+                    if old != null[i]:
+                        set_(i, null[i])
+                    key = S[lo[t]:hi[t]].tobytes()
                     if (hit := memo[t].get(key)) is None:
                         self.explored += 1
                         if self.explored > self.cap:
                             raise EnumerationCapError(self.explored, self.cap, None if upper == inf else upper)
                         stack.append([t, acc, fin, phi, key, old, iter(_ties(g, counts, i)),
-                                      -1, 0.0, inf, -1, True, inf, inf])
+                                      -1, 0.0, inf, None, True, inf, inf])
                         rest = None
                     else:
                         set_(i, old)
                         self.phi = phi
-                        rest = hit[0]
+                        rest, walk = hit
             if rest is not None and acc + rest < upper:
                 upper = acc + rest
             while stack:
                 frame = stack[-1]
-                t, acc, fin, phi, key, old, ties, a, released, best, best_act, sure, before, after = frame
+                t, acc, fin, phi, key, old, ties, a, released, best, best_walk, sure, before, after = frame
                 if rest is not None:
                     if released + rest < best:
-                        best, best_act, sure = released + rest, a, low == inf
+                        best, best_walk, sure = released + rest, (a, walk), low == inf
                         before, after = min(before, after), released + low
                     elif low < inf:
                         after = min(after, released + low)
-                    frame[9:] = best, best_act, sure, before, after
+                    frame[9:] = best, best_walk, sure, before, after
                 if (a := next(ties, None)) is not None:
                     set_(sched[t], a)
                     released = freed = 0.0
@@ -405,23 +402,22 @@ class _AdversarialSearch:
                 set_(sched[t], old)
                 self.phi = phi
                 if sure and before - half > best and after - half >= best:
-                    memo[t][key] = (best, best_act)
+                    memo[t][key] = (best, best_walk)
                     low = inf
                 else:
                     low = min(before, after)
-                rest = best
+                rest, walk = best, best_walk
                 stack.pop()
             else:
+                self.walk = walk
                 return rest
 
     def reconstruct(self) -> Trajectory:
-        """Replays the minimizing walk on ``S``, reading each step's action
-        from the memo, and records it with :func:`_walk`."""
-        self._reset()
-        acts = []
-        for t, i in enumerate(self.schedule):
-            acts.append(self.memo[t][self._lift(t)][1])
-            self._set(i, acts[-1])
+        """Records the minimizing walk :meth:`run` kept with :func:`_walk`."""
+        acts, walk = [], self.walk
+        while walk is not None:
+            a, walk = walk
+            acts.append(a)
         return _walk(self.g, self.g.null_action, self.schedule,
                      lambda t, i, joint, counts: acts[t])
 
@@ -441,7 +437,9 @@ def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
     :class:`_AdversarialSearch`); the test holds at equality when the game's
     tables make every sum and tie exact, and keeps a rounding slack
     otherwise.  The value and the trajectory, the first minimizing walk in
-    tie order, are those of the search without the bound, bit for bit.
+    tie order, are those of the search without the bound, bit for bit.  The
+    search hands each state's walk up with its value, so the trajectory is
+    recorded from the one traversal, with no replay.
     """
     search = _AdversarialSearch(g, _check_schedule(g, k, schedule), cap)
     search.run()
@@ -503,7 +501,6 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     """
     n = g.n_players
     search = _AdversarialSearch(g, round_robin_schedule(n, 1), cap)
-    search._reset()
     joint, alpha = search.joint, search.alpha
     drop = 0.0 if search.exact else TOL * n * math.prod(float(len(a)) for a in g.actions)
     eps = search._slack(cap, drop)  # the stack holds at most cap states

@@ -65,6 +65,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be a positive integer")
         if not isinstance(self.master_seed, Integral):
             raise ValidationError("master_seed must be an integer")
+        if not -2**63 <= self.master_seed < 2**63:  # gen_wta's Philox key holds 64 bits
+            raise ValidationError("master_seed must lie in [-2**63, 2**63)")
         if self.action_width > self.n_targets:
             raise ValidationError("action_width cannot exceed n_targets")
         if not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):

@@ -14,6 +14,7 @@ from resgames import (
     design_asymptotic,
     design_common_interest,
     design_one_round,
+    gen_wta,
     make_welfare_rule,
     one_round_bound,
     one_round_setcov,
@@ -61,14 +62,26 @@ def _no_active_variables():
     (lambda: build_poa_witness(_no_active_variables(), 12), "LP solution has no active variables"),
     (lambda: poa_lp(SETCOV, ZERO_F, 3), "price-of-anarchy LP did not solve: unbounded"),
     (lambda: ExperimentConfig(master_seed=1.5), "master_seed must be an integer"),
+    # the Philox key overflows past 64 bits, and wraps 2**63 onto -2**63
+    (lambda: ExperimentConfig(master_seed=2**64), "master_seed must lie in [-2**63, 2**63)"),
+    (lambda: ExperimentConfig(master_seed=-2**63 - 1), "master_seed must lie in [-2**63, 2**63)"),
+    (lambda: ExperimentConfig(master_seed=2**63), "master_seed must lie in [-2**63, 2**63)"),
     (lambda: ExperimentConfig(p_hit=0.0), "p_hit must lie in (0, 1]"),
 ], ids=["one_round_bound-y_max", "one_round_setcov-j_trunc", "closed_form-setcov-n",
         "closed_form-bent-rising_f", "closed_form-family", "poa_lp-n", "theory_bounds-rounds",
         "theory_bounds-design", "design_one_round-c", "design_one_round-j_max", "design_asymptotic-b",
         "design_asymptotic-c", "design_asymptotic-j_max", "welfare-family", "welfare-wta_p_str", "chain-n",
         "chain-c", "two_agent-c", "two_agent-c_none", "two_agent-c_str", "witness-unbounded", "witness-n2",
-        "witness-no_active", "poa_lp-unbounded", "config-seed", "config-p_hit"])
+        "witness-no_active", "poa_lp-unbounded", "config-seed", "config-seed_above", "config-seed_below",
+        "config-seed_alias", "config-p_hit"])
 def test_bad_input_fails_at_its_one_check(call, fragment):
     with pytest.raises(ValidationError) as exc:
         call()
     assert fragment in str(exc.value)
+
+
+def test_master_seeds_in_range_key_distinct_instances():
+    # seeds in [2**63, 2**64) once aliased: 2**63 + 1 and 2**63 + 2 drew one instance
+    seeds = (-2**63, -1, 0, 2**62 + 1, 2**62 + 2, 2**63 - 1)
+    values = {tuple(r.value for r in gen_wta(ExperimentConfig(master_seed=s), 0).resources) for s in seeds}
+    assert len(values) == len(seeds)

@@ -449,6 +449,15 @@ def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "trap.json", "trap.meta.json"]
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**63, -2**63 - 1])
+def test_config_seed_outside_the_philox_key_exits_2(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"master_seed": seed}))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: master_seed must lie in [-2**63, 2**63)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_missing_config_creates_no_output_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["experiment", "--config", "missing.json", "--out-dir", "new"]) == 2

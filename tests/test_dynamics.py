@@ -445,8 +445,20 @@ def lifted_mover_game() -> Game:
     return Game((solo, shared), ((empty, r1, r2), (empty, r2)))
 
 
+def memo_hit_game() -> Game:
+    """Player 0 takes r, player 1 then ties between sharing r and staying
+    out, and player 2 ties between two empty actions.  r is final after
+    step 1, so both of player 1's ties reach step 2 as one state: the first
+    tie searches it, and the second, whose walk ends at 0.5 against 0.625,
+    reads it from the memo.  Found among random tie games."""
+    r = Resource("r", WelfareRule((1.0, 1.25), 0.0), UtilityRule((1.0, 0.0)), 0.5)
+    empty, share = frozenset(), frozenset({"r"})
+    return Game((r,), ((share, empty), (share, empty), (empty, empty)))
+
+
 @settings(max_examples=500, deadline=None)
 @given(games_and_schedules())
+@example((memo_hit_game(), 1, None))  # the worst walk runs through a memo hit
 @example((shared_holder_game(), 2, None))
 @example((lifted_mover_game(), 2, None))
 @example((build_two_agent_worst_case(0.5, design_one_round(0.5)).game, 2, None))  # alpha < 1
@@ -485,6 +497,37 @@ def test_adversarial_search_solves_a_lifted_state_once():
     assert (search.explored, search.pruned, search.alpha, search.exact) == (6, 0, 0.625, False)
     assert search.reconstruct().final == (2, 1)
     assert k_round_walk(g, 2).final_welfare == 4.0
+
+
+def test_adversarial_worst_walk_runs_through_a_memo_hit():
+    g = memo_hit_game()
+    sched = round_robin_schedule(3, 1)
+    want, first = brute_tie_paths(g, sched)
+    search = dynamics._AdversarialSearch(g, sched, 100)
+    assert search.run() == want == 0.5
+    # four states are reached and none pruned, but three searched: step 2
+    # from player 1's first tie, and from its second, the worst walk, by a hit
+    assert (search.explored, search.pruned, [len(m) for m in search.memo]) == (3, 0, [1, 1, 1])
+    assert tuple(s.action for s in search.reconstruct().steps) == first == (0, 1, 0)
+
+
+@pytest.mark.parametrize("g, k", [
+    (build_common_interest_chain(30, 0.35).game, 2),
+    (build_two_agent_worst_case(0.5, design_one_round(0.5)).game, 3),
+    (memo_hit_game(), 1),
+], ids=["chain-prunes", "two_agent-alpha", "memo_hit"])
+def test_adversarial_search_ends_at_the_null_allocation(g, k):
+    search = dynamics._AdversarialSearch(g, round_robin_schedule(g.n_players, k), 10_000)
+    blank = search.S.tobytes()
+    value = search.run()
+    walk = search.reconstruct()
+    assert search.joint == list(g.null_action)
+    assert search.counts == [0] * g.n_resources
+    assert search.phi == 0.0
+    assert search.S.tobytes() == blank
+    # the second run starts from the same state and reads the root's entry
+    assert search.run().hex() == value.hex()
+    assert search.reconstruct() == walk
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,9 +576,18 @@ def _searched(g, k):
     return search, search.run()
 
 
+def _flat(walk):
+    """The actions of a linked walk ``(action, walk)``, None past its end."""
+    acts = []
+    while walk is not None:
+        a, walk = walk
+        acts.append(a)
+    return acts
+
+
 def _chain_search(n, c, k):
     search, val = _searched(build_common_interest_chain(n, c).game, k)
-    entries = [entry for memo in search.memo for entry in memo.values()]
+    entries = [(t, *entry) for t, memo in enumerate(search.memo) for entry in memo.values()]
     return val, search.explored, entries, search.reconstruct()
 
 
@@ -560,9 +612,12 @@ def _chain_search(n, c, k):
 def test_adversarial_chain_search_is_pinned(n, c, k, visited, memoised, value, actions, final):
     val, explored, entries, traj = _chain_search(n, c, k)
     assert explored == visited
-    # every entry is exact, a (value, action) pair
+    # every entry is exact, a (value, walk) pair whose walk holds one int
+    # action for each step left from its own
     assert len(entries) == memoised
-    assert all(type(v) is float and type(a) is int for v, a in entries)
+    for t, v, walk in entries:
+        acts = _flat(walk)
+        assert type(v) is float and len(acts) == n * k - t and all(type(a) is int for a in acts)
     assert val.hex() == value
     assert traj.final_welfare.hex() == value
     steps = [(s.player, s.action) for s in traj.steps]
