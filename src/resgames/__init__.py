@@ -19,7 +19,6 @@ from .model import (
 from .dynamics import (
     ADVERSARIAL,
     INCUMBENT_THEN_LEX,
-    LEXICOGRAPHIC,
     BudgetExceededError,
     EnumerationCapError,
     Step,

@@ -146,7 +146,7 @@ class LPInstance:
     """Price-of-anarchy LP in standard form.
 
     Column j is the variable (a[j], x[j], b[j]) with integers a, x, b >= 0,
-    1 <= a+x+b <= n, in lexicographic order.  Maximize objective . theta
+    1 <= a+x+b <= n, ordered by a, then x, then b.  Maximize objective . theta
     subject to nash_row . theta >= 0, norm_row . theta = 1, theta >= 0.
     """
 
@@ -181,7 +181,7 @@ def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
         raise ValidationError("n must be positive")
     wt = w.table(n)
     ft = f.table(n + 1)
-    a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # lexicographic (a, x, b)
+    a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # ordered by a, then x, then b
     keep = (a + x + b >= 1) & (a + x + b <= n)
     a, x, b = a[keep], x[keep], b[keep]
     return LPInstance(n, a, x, b, wt[b + x], a * ft[a + x] - b * ft[a + x + 1], wt[a + x], w, f)

@@ -30,7 +30,6 @@ from .constructions import (
 from .designs import DesignSpec, resolve_design
 from .dynamics import (
     ADVERSARIAL,
-    INCUMBENT_THEN_LEX,
     BudgetExceededError,
     EnumerationCapError,
     adversarial_min_welfare,
@@ -113,19 +112,19 @@ def _cmd_simulate(args):
     if args.out:
         _check_output_path(args.out)
     g = io.load_game(args.game)
-    tb = INCUMBENT_THEN_LEX if args.tiebreak == "incumbent" else args.tiebreak
+    adversarial = args.tiebreak == ADVERSARIAL
     if args.k == math.inf and args.schedule is None:
-        if tb == ADVERSARIAL:
+        if adversarial:
             if args.out:
                 raise ValidationError("--out writes a walk, but --k inf --tiebreak adversarial finds a state")
             w, state = reachable_nash_min(g, cap=args.cap)
             print(f"limit_welfare={w!r} state={list(state)}")
             return 0
-        traj = walk_to_nash(g, tb)
-    elif tb == ADVERSARIAL:
+        traj = walk_to_nash(g)
+    elif adversarial:
         _, traj = adversarial_min_welfare(g, args.k, cap=args.cap, schedule=args.schedule)
     else:
-        traj = k_round_walk(g, args.k, tb, args.schedule)
+        traj = k_round_walk(g, args.k, schedule=args.schedule)
     if args.out:
         io.trajectory_to_jsonl(g, traj, args.out)
     print(f"final_welfare={traj.final_welfare!r} final_action={list(traj.final)}")
@@ -245,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a best-response walk on a game JSON")
     sim.add_argument("--game", required=True)
     sim.add_argument("--k", type=walk_rounds, default="1", help="number of rounds, or 'inf'")
-    sim.add_argument("--tiebreak", default="incumbent",
-                     choices=["incumbent", "lexicographic", "adversarial"])
+    sim.add_argument("--tiebreak", default="incumbent", choices=["incumbent", ADVERSARIAL])
     sim.add_argument("--cap", type=int, default=500_000)
     sim.add_argument("--schedule", type=comma_ints, default=None, help="comma-separated player indices")
     sim.add_argument("--out", default=None, help="trajectory JSONL path")

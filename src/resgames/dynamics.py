@@ -19,8 +19,8 @@ from .model import (
     welfare,
 )
 
+#: The deterministic tie rule: keep the incumbent if tied, else the lowest tied index.
 INCUMBENT_THEN_LEX = "incumbent_then_lex"
-LEXICOGRAPHIC = "lexicographic"
 #: The worst case over every tie resolution; only :func:`efficiency` takes it.
 ADVERSARIAL = "adversarial"
 
@@ -129,7 +129,7 @@ def is_nash(g: Game, a: Sequence[int]) -> bool:
     """True iff one incumbent-keeping round from ``a`` leaves it unchanged,
     the fixed point :func:`walk_to_nash` stops on."""
     a = g.validate_joint(a)
-    return _walk(g, a, round_robin_schedule(g.n_players, 1), _deterministic(g, INCUMBENT_THEN_LEX)).final == a
+    return _walk(g, a, round_robin_schedule(g.n_players, 1), _deterministic(g)).final == a
 
 
 def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Trajectory:
@@ -172,16 +172,14 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
     return Trajectory(start, tuple(map(Step, schedule, acts, wel, pot)), tuple(joint))
 
 
-def _deterministic(g: Game, tie_break: str):
-    """Chooser for :func:`_walk` that keeps the incumbent on a tie
-    (``INCUMBENT_THEN_LEX``) or always takes the lowest tied index."""
-    if tie_break not in (INCUMBENT_THEN_LEX, LEXICOGRAPHIC):
-        raise ValidationError(f"unknown tie break {tie_break!r}")
-    keep = tie_break == INCUMBENT_THEN_LEX
+def _deterministic(g: Game, rows: list[list[float]] | None = None):
+    """Chooser for :func:`_walk` under ``INCUMBENT_THEN_LEX``: the mover
+    keeps its action if it is tied for best, else takes the lowest tied
+    index; ``rows`` is passed to :func:`_ties`."""
 
     def choose(t, i, joint, counts):
-        ties = _ties(g, counts, i)
-        return joint[i] if keep and joint[i] in ties else ties[0]
+        ties = _ties(g, counts, i, rows)
+        return joint[i] if joint[i] in ties else ties[0]
 
     return choose
 
@@ -447,29 +445,29 @@ def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
     return traj.final_welfare, traj
 
 
-def k_round_walk(g: Game, k: int, tie_break: str = INCUMBENT_THEN_LEX,
-                 schedule: Sequence[int] | None = None) -> Trajectory:
-    """Best-response walk from the null allocation for k full rounds, with
-    ties kept by the incumbent (``INCUMBENT_THEN_LEX``) or resolved to the
-    lowest index (``LEXICOGRAPHIC``).
+def k_round_walk(g: Game, k: int, *, schedule: Sequence[int] | None = None) -> Trajectory:
+    """Best-response walk from the null allocation for k full rounds under
+    ``INCUMBENT_THEN_LEX``: a tied mover keeps its action, else takes the
+    lowest tied index.
 
     ``schedule`` replaces the k round-robin rounds with its own step
     sequence; ``k`` must still be a positive integer.  The worst walk over
     every tie resolution is :func:`adversarial_min_welfare`'s.
     """
     sched = _check_schedule(g, k, schedule)
-    return _walk(g, g.null_action, sched, _deterministic(g, tie_break))
+    return _walk(g, g.null_action, sched, _deterministic(g))
 
 
-def walk_to_nash(g: Game, tie_break: str = INCUMBENT_THEN_LEX) -> Trajectory:
-    """Iterate rounds until a full round leaves the state unchanged.
+def walk_to_nash(g: Game) -> Trajectory:
+    """Iterate ``INCUMBENT_THEN_LEX`` rounds from the null allocation until
+    a full round leaves the state unchanged, a Nash state (:func:`is_nash`).
 
     Convergence is guaranteed by the potential; a ceiling of 10**6 steps
     (:class:`EnumerationCapError`) guards against tolerance artifacts.
     """
     n = g.n_players
     one_round = round_robin_schedule(n, 1)
-    choose = _deterministic(g, tie_break)
+    choose = _deterministic(g)
     all_steps: list[Step] = []
     state = g.null_action
     while True:
@@ -586,15 +584,14 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     # threshold: a welfare attained, that of the incumbent-keeping walk of the
     # common-interest game (each selector's utility its welfare increment)
     # from the empty allocation, run to its fixed point or the walks' ceiling.
-    rows = np.diff(wtab, prepend=0.0).tolist()
+    choose = _deterministic(g, np.diff(wtab, prepend=0.0).tolist())
     joint, counts = list(g.null_action), [0] * n_res
     for _ in range(_WALK_STEP_CEILING // n):
         before = joint[:]
         for i, acts in enumerate(g.action_resources):
             for r in acts[joint[i]]:
                 counts[r] -= 1
-            if joint[i] not in (ties := _ties(g, counts, i, rows)):
-                joint[i] = ties[0]
+            joint[i] = choose(0, i, joint, counts)
             for r in acts[joint[i]]:
                 counts[r] += 1
         if joint == before:
@@ -639,26 +636,26 @@ def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> 
     """Walk welfare after k rounds (or at the limit) divided by the exact optimum.
 
     ``k`` is a positive integer, or ``math.inf`` for the limit point.
-    ``tie_break`` is a rule of :func:`k_round_walk` or ``ADVERSARIAL``, the
-    worst value over every tie resolution: that of
-    :func:`adversarial_min_welfare`, or of :func:`reachable_nash_min` at the
-    limit.  Other caps or schedules are those functions' own.
+    ``tie_break`` is ``INCUMBENT_THEN_LEX``, the walk of :func:`k_round_walk`
+    or :func:`walk_to_nash`, or ``ADVERSARIAL``, the worst value over every
+    tie resolution: that of :func:`adversarial_min_welfare`, or of
+    :func:`reachable_nash_min` at the limit.  Caps are those functions' own.
     """
     limit = k == math.inf
     # a bad k or tie rule raises before the optimum's cost
     if not limit:
         _check_schedule(g, k, None)
-    if tie_break != ADVERSARIAL:
-        _deterministic(g, tie_break)
+    if tie_break not in (INCUMBENT_THEN_LEX, ADVERSARIAL):
+        raise ValidationError(f"unknown tie break {tie_break!r}")
     _, opt_w = optimum(g)
     if opt_w <= 0.0:
         return 1.0
     if tie_break == ADVERSARIAL:
         w = (reachable_nash_min(g) if limit else adversarial_min_welfare(g, k))[0]
     elif limit:
-        w = welfare(g, walk_to_nash(g, tie_break).final)
+        w = welfare(g, walk_to_nash(g).final)
     else:
-        w = k_round_walk(g, k, tie_break).final_welfare
+        w = k_round_walk(g, k).final_welfare
     return w / opt_w
 
 

@@ -39,6 +39,11 @@ class SummaryRow(NamedTuple):
     max: float
 
 
+def _integer(x) -> bool:
+    """An integer, but not a bool, which ``Integral`` and ``Real`` admit."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _default_designs() -> tuple[DesignSpec, ...]:
     return (
         DesignSpec("one_round"),
@@ -61,17 +66,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_agents", "n_targets", "actions_per_agent", "action_width", "n_instances", "rounds"):
-            if not isinstance(getattr(self, name), Integral) or getattr(self, name) < 1:
+            if not _integer(getattr(self, name)) or getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")
-        if not isinstance(self.master_seed, Integral):
+        if not _integer(self.master_seed):
             raise ValidationError("master_seed must be an integer")
         if not -2**63 <= self.master_seed < 2**63:  # gen_wta's Philox key holds 64 bits
             raise ValidationError("master_seed must lie in [-2**63, 2**63)")
         if self.action_width > self.n_targets:
             raise ValidationError("action_width cannot exceed n_targets")
-        if not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):
+        if isinstance(self.p_hit, bool) or not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):
             raise ValidationError("p_hit must lie in (0, 1]")
         object.__setattr__(self, "designs", tuple(self.designs))
+        if not self.designs:
+            raise ValidationError("an experiment needs at least one design")
         names = [s.name() for s in self.designs]
         if len(set(names)) != len(names):
             raise ValidationError(f"design names must be unique, got {names}")
@@ -85,8 +92,9 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
             d = dict(d)
-            designs = tuple(DesignSpec(**s) for s in d.pop("designs", []))
-            return ExperimentConfig(designs=designs or _default_designs(), **d)
+            if "designs" in d:  # an absent key keeps the default designs
+                d["designs"] = tuple(DesignSpec(**s) for s in d["designs"])
+            return ExperimentConfig(**d)
         except ValidationError:
             raise
         except (TypeError, ValueError) as exc:

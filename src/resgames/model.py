@@ -348,13 +348,6 @@ class Game:
                  f"player index {i!r} is not in [0, {self.n_players})")
         return i
 
-    def validate_tabulation(self) -> None:
-        """Check every rule is tabulated past the largest attainable selector count."""
-        for r, need in zip(self.resources, self.max_selectors):
-            _require(r.welfare.j_max >= need,
-                     f"resource {r.rid!r}: welfare table ends at {r.welfare.j_max} "
-                     f"but up to {need} players can select it")
-
 
 def selection_counts(g: Game, a: Sequence[int]) -> np.ndarray:
     """Per-resource selector counts |a|_r for the joint action."""

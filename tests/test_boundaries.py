@@ -67,13 +67,16 @@ def _no_active_variables():
     (lambda: ExperimentConfig(master_seed=-2**63 - 1), "master_seed must lie in [-2**63, 2**63)"),
     (lambda: ExperimentConfig(master_seed=2**63), "master_seed must lie in [-2**63, 2**63)"),
     (lambda: ExperimentConfig(p_hit=0.0), "p_hit must lie in (0, 1]"),
+    # an empty design list is refused, not replaced by the defaults
+    (lambda: ExperimentConfig(designs=()), "at least one design"),
+    (lambda: ExperimentConfig.from_dict({"designs": []}), "at least one design"),
 ], ids=["one_round_bound-y_max", "one_round_setcov-j_trunc", "closed_form-setcov-n",
         "closed_form-bent-rising_f", "closed_form-family", "poa_lp-n", "theory_bounds-rounds",
         "theory_bounds-design", "design_one_round-c", "design_one_round-j_max", "design_asymptotic-b",
         "design_asymptotic-c", "design_asymptotic-j_max", "welfare-family", "welfare-wta_p_str", "chain-n",
         "chain-c", "two_agent-c", "two_agent-c_none", "two_agent-c_str", "witness-unbounded", "witness-n2",
         "witness-no_active", "poa_lp-unbounded", "config-seed", "config-seed_above", "config-seed_below",
-        "config-seed_alias", "config-p_hit"])
+        "config-seed_alias", "config-p_hit", "config-no_designs", "config-no_designs_in_file"])
 def test_bad_input_fails_at_its_one_check(call, fragment):
     with pytest.raises(ValidationError) as exc:
         call()

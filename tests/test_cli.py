@@ -233,6 +233,13 @@ def test_malformed_argument_is_a_usage_error(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_simulate_offers_the_fixed_tie_rule_and_the_worst_case(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--game", "g.json", "--tiebreak", "lowest"])
+    assert exc.value.code == 2
+    assert "[--tiebreak {incumbent,adversarial}]" in capsys.readouterr().err
+
+
 def test_analyze_bounds_integer_rounds(capsys):
     assert main(["analyze", "--route", "bounds", "--C-grid", "0.5", "--k", "3", "--design", "optimal"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0.5,0.75,False"
@@ -455,6 +462,18 @@ def test_config_seed_outside_the_philox_key_exits_2(tmp_path, capsys, seed):
     cfg_path.write_text(json.dumps({"master_seed": seed}))
     assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", "error: master_seed must lie in [-2**63, 2**63)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rounds": True, "n_instances": True, "p_hit": True}, "n_instances must be a positive integer"),
+    ({"designs": []}, "an experiment needs at least one design"),
+])
+def test_config_booleans_and_empty_designs_exit_2(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -146,9 +146,7 @@ def test_constructions_are_normalized():
         build_common_interest_chain(4, 0.5),
         build_stack_or_spread(3, make_utility_rule((1.0, 0.5, 0.25))),
     ):
-        g = con.game
-        g.validate_tabulation()
-        assert all(r.welfare.values[0] == 1.0 for r in g.resources)
+        assert all(r.welfare.values[0] == 1.0 for r in con.game.resources)
 
 
 def test_poa_witness_mechanism():

@@ -15,7 +15,6 @@ from resgames import (
     EnumerationCapError,
     ExperimentConfig,
     Game,
-    LEXICOGRAPHIC,
     Resource,
     UtilityRule,
     WelfareRule,
@@ -328,11 +327,11 @@ def test_walk_entry_points_reject_the_limit(trap_ci):
     assert efficiency(_zero_welfare_game(), math.inf) == 1.0
 
 
-def test_k_round_walk_is_deterministic_only(trap_ci):
-    from resgames import ValidationError
-
-    with pytest.raises(ValidationError):
-        k_round_walk(trap_ci, 1, ADVERSARIAL)
+def test_k_round_walk_takes_its_schedule_by_keyword(trap_ci):
+    # a stray third positional argument is refused, not read as a schedule
+    for extra in (ADVERSARIAL, [1, 0]):
+        with pytest.raises(TypeError):
+            k_round_walk(trap_ci, 1, extra)
 
 
 def test_efficiency_checks_the_tie_rule_before_a_zero_optimum():
@@ -341,7 +340,8 @@ def test_efficiency_checks_the_tie_rule_before_a_zero_optimum():
     for k in (1, math.inf):
         with pytest.raises(ValidationError):
             efficiency(_zero_welfare_game(), k, "bogus")
-    assert efficiency(_zero_welfare_game(), 1, LEXICOGRAPHIC) == 1.0
+    for tie_break in (INCUMBENT_THEN_LEX, ADVERSARIAL):
+        assert efficiency(_zero_welfare_game(), 1, tie_break) == 1.0
 
 
 def test_reachable_nash_min(trap_ci):
@@ -362,9 +362,9 @@ def test_one_round_can_end_at(trap_ci):
     assert not one_round_can_end_at(trap_ci, (1, 1))
 
 
-def test_incumbent_vs_lexicographic_tie_break():
+def test_incumbent_keeps_a_tied_action():
     # player 0 first strictly prefers the high-index action, then ties with
-    # the low-index one; only the incumbent rule keeps it in place
+    # the low-index one; the incumbent rule keeps it in place
     w = make_welfare_rule("set_covering", 2)
     f = UtilityRule((1.0, 0.6))
     g = Game(
@@ -375,10 +375,9 @@ def test_incumbent_vs_lexicographic_tie_break():
         ),
     )
     sched = [0, 1, 0]
-    stay = k_round_walk(g, 1, "incumbent_then_lex", schedule=sched)
+    stay = k_round_walk(g, 1, schedule=sched)
+    assert 1 in best_responses(g, stay.final, 0)
     assert stay.final == (2, 1)
-    move = k_round_walk(g, 1, "lexicographic", schedule=sched)
-    assert move.final == (1, 1)
 
 
 def test_custom_schedule():
@@ -724,22 +723,22 @@ def wide_games(draw) -> Game:
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_games(), st.integers(1, 3), st.sampled_from([INCUMBENT_THEN_LEX, LEXICOGRAPHIC]), st.data())
-def test_walk_gather_blocks_match_one_state_sums(g, k, tie_break, data):
+@given(wide_games(), st.integers(1, 3), st.data())
+def test_walk_gather_blocks_match_one_state_sums(g, k, data):
     # a gather of under nine rows splits most walks into several blocks
     gather = data.draw(st.integers(1, 9 * g.n_resources))
     with mock.patch.object(dynamics, "_GATHER", gather):
-        traj = k_round_walk(g, k, tie_break)
+        traj = k_round_walk(g, k)
     _assert_steps_score_their_states(g, traj, k * g.n_players)
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_games(), st.sampled_from([INCUMBENT_THEN_LEX, LEXICOGRAPHIC]), st.data())
-def test_walk_to_nash_blocks_match_one_state_sums(g, tie_break, data):
+@given(wide_games(), st.data())
+def test_walk_to_nash_blocks_match_one_state_sums(g, data):
     # each round after the first is recorded from the state the last one left
     gather = data.draw(st.integers(1, 9 * g.n_resources))
     with mock.patch.object(dynamics, "_GATHER", gather):
-        traj = walk_to_nash(g, tie_break)
+        traj = walk_to_nash(g)
     _assert_steps_score_their_states(g, traj, len(traj.steps))
 
 

@@ -65,7 +65,7 @@ def test_gen_wta_instances_share_one_rule_pair():
 
 
 def test_gen_wta_tabulated_for_all_agents():
-    gen_wta(SMALL, 0).validate_tabulation()
+    assert all(r.welfare.j_max == SMALL.n_agents for r in gen_wta(SMALL, 0).resources)
 
 
 def test_run_experiment_rows_and_bounds():
@@ -144,6 +144,14 @@ def test_config_rejects_non_integer_counts_and_unknown_keys():
         ExperimentConfig.from_dict({"designs": [{"family": "one_round", "chi": 0.7}]})
     with pytest.raises(ValidationError, match="give exactly one of chi or q"):
         ExperimentConfig.from_dict({"designs": [{"family": "pareto"}]})
+
+
+@pytest.mark.parametrize("name", ["n_agents", "n_targets", "actions_per_agent", "action_width",
+                                  "n_instances", "rounds", "master_seed", "p_hit"])
+def test_config_refuses_booleans(name):
+    # True passes both the Integral and the Real checks
+    with pytest.raises(ValidationError, match=f"^{name} must"):
+        ExperimentConfig(**{name: True})
 
 
 def test_config_rejects_designs_with_the_same_name():

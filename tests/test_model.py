@@ -176,15 +176,17 @@ def test_game_inserts_empty_action_and_validates_ids():
         Game((Resource("a", w, f),), ((frozenset({"zzz"}),),))
 
 
-def test_tabulation_validation():
+def test_a_rule_tabulated_short_of_its_selectors_reads_its_tail():
+    # w ends at one selector while two players can select "a"
     w = make_welfare_rule("set_covering", 1)
     f = UtilityRule((1.0,))
     g = Game(
         (Resource("a", w, f),),
         ((frozenset(), frozenset({"a"})), (frozenset(), frozenset({"a"}))),
     )
-    with pytest.raises(ValidationError):
-        g.validate_tabulation()
+    assert (w.j_max, g.max_selectors) == (1, (2,))
+    assert g.welfare_tables[0, 2] == w.eval(2) == w.values[-1] + w.tail_slope
+    assert welfare(g, (1, 1)) == w.eval(2)
 
 
 @settings(max_examples=60, deadline=None)
