@@ -35,6 +35,11 @@ CHI_MIN = 1.0 / E_MINUS_1
 _SNAP = 1e-12
 
 
+def _integer(x) -> bool:
+    """An integer, but not a bool, which ``Integral`` and ``Real`` admit."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _e_pow(n: int) -> float:
     """e**n by repeated multiplication, identical across platforms."""
     out = 1.0
@@ -193,8 +198,8 @@ class DesignSpec:
     welfare rule the design is applied to.  ``pareto`` takes exactly one of
     ``chi`` or ``q``, and no other family takes either.  ``c`` and ``b`` are
     accepted on every family, since the CLI's ``--C`` and ``--b`` also shape
-    the bent welfare rule.  A field of the wrong type or an unknown family is
-    a :class:`ValidationError`.
+    the bent welfare rule.  A field of the wrong type, a boolean among them,
+    or an unknown family is a :class:`ValidationError`.
     """
 
     family: str  # common_interest | one_round | asymptotic | pareto
@@ -208,13 +213,14 @@ class DesignSpec:
         if self.family not in ("common_interest", "one_round", "asymptotic", "pareto"):
             raise ValidationError(f"unknown design family {self.family!r}")
         for name in ("c", "chi", "q"):
-            if not (getattr(self, name) is None or isinstance(getattr(self, name), Real)):
+            x = getattr(self, name)
+            if not (x is None or isinstance(x, Real) and not isinstance(x, bool)):
                 raise ValidationError(f"design {name} must be a real number or null")
         if self.family != "pareto" and (self.chi is not None or self.q is not None):
             raise ValidationError(f"design {self.family} reads neither chi nor q")
         if self.family == "pareto" and (self.chi is None) == (self.q is None):
             raise ValidationError("give exactly one of chi or q")
-        if not (isinstance(self.b, Integral) and self.b >= 1):
+        if not (_integer(self.b) and self.b >= 1):
             raise ValidationError("design b must be a positive integer")
         if not (self.label is None or isinstance(self.label, str)):
             raise ValidationError("design label must be a string or null")

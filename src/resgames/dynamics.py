@@ -143,6 +143,12 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
     of at most ``_GATHER`` (step, resource) terms; a full block, and the
     last one, is summed a row at a time, as :func:`welfare` sums one state,
     to the same bits.
+
+    A chooser marked ``settles`` picks by the state alone, so once every
+    player of the schedule has moved since the last step that changed the
+    state (that step's mover included), the state is its fixed point: each
+    mover's ties, read on the same lifted counts, hold its action.  The walk
+    then stops scanning, and each later step is its player's last step.
     """
     counts = selection_counts(g, start).tolist()
     joint = list(start)
@@ -154,8 +160,11 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
     wblock, pblock = np.empty((rows, n_res)), np.empty((rows, n_res))
     wflat, pflat = memoryview(wblock.reshape(-1)), memoryview(pblock.reshape(-1))
     acts, wel, pot = [], [], []
+    movers = len(set(schedule)) if getattr(choose, "settles", False) else 0
+    since: dict[int, int] = {}  # player -> its last step since the last change
     for t, i in enumerate(schedule):
-        for r in g.action_resources[i][joint[i]]:
+        old = joint[i]
+        for r in g.action_resources[i][old]:
             counts[r] -= 1
             wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
         choice = joint[i] = choose(t, i, joint, counts)
@@ -166,21 +175,36 @@ def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Tra
         row = t % rows
         wflat[row * n_res:(row + 1) * n_res] = wrun
         pflat[row * n_res:(row + 1) * n_res] = prun
-        if row == rows - 1 or t == len(schedule) - 1:
-            wel += wblock[:row + 1].sum(axis=1).tolist()
-            pot += pblock[:row + 1].sum(axis=1).tolist()
-    return Trajectory(start, tuple(map(Step, schedule, acts, wel, pot)), tuple(joint))
+        if row == rows - 1:
+            wel += wblock.sum(axis=1).tolist()
+            pot += pblock.sum(axis=1).tolist()
+        if movers:
+            if choice != old:
+                since.clear()
+            since[i] = t
+            if len(since) == movers:
+                break
+    if (left := len(acts) - len(wel)):
+        wel += wblock[:left].sum(axis=1).tolist()
+        pot += pblock[:left].sum(axis=1).tolist()
+    steps = list(map(Step, schedule, acts, wel, pot))
+    if len(steps) < len(schedule):
+        settled = {i: steps[t] for i, t in since.items()}
+        steps += map(settled.__getitem__, schedule[len(steps):])
+    return Trajectory(start, tuple(steps), tuple(joint))
 
 
 def _deterministic(g: Game, rows: list[list[float]] | None = None):
     """Chooser for :func:`_walk` under ``INCUMBENT_THEN_LEX``: the mover
     keeps its action if it is tied for best, else takes the lowest tied
-    index; ``rows`` is passed to :func:`_ties`."""
+    index; ``rows`` is passed to :func:`_ties`.  It reads only the state, so
+    a walk it drives may stop once settled."""
 
     def choose(t, i, joint, counts):
         ties = _ties(g, counts, i, rows)
         return joint[i] if joint[i] in ties else ties[0]
 
+    choose.settles = True
     return choose
 
 
@@ -451,7 +475,10 @@ def k_round_walk(g: Game, k: int, *, schedule: Sequence[int] | None = None) -> T
     lowest tied index.
 
     ``schedule`` replaces the k round-robin rounds with its own step
-    sequence; ``k`` must still be a positive integer.  The worst walk over
+    sequence; ``k`` must still be a positive integer.  Once every player of
+    the schedule has moved at one state without changing it, that state is
+    Nash, and the walk copies it forward unscanned: each later step is its
+    player's step at that state, to the same bits.  The worst walk over
     every tie resolution is :func:`adversarial_min_welfare`'s.
     """
     sched = _check_schedule(g, k, schedule)
@@ -583,18 +610,22 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
 
     # threshold: a welfare attained, that of the incumbent-keeping walk of the
     # common-interest game (each selector's utility its welfare increment)
-    # from the empty allocation, run to its fixed point or the walks' ceiling.
+    # from the empty allocation, run up to the walks' ceiling in whole
+    # rounds, or until it settles as :func:`_walk` does: n steps in a row
+    # leave the state as the first of them left it.
     choose = _deterministic(g, np.diff(wtab, prepend=0.0).tolist())
-    joint, counts = list(g.null_action), [0] * n_res
-    for _ in range(_WALK_STEP_CEILING // n):
-        before = joint[:]
-        for i, acts in enumerate(g.action_resources):
-            for r in acts[joint[i]]:
-                counts[r] -= 1
-            joint[i] = choose(0, i, joint, counts)
-            for r in acts[joint[i]]:
-                counts[r] += 1
-        if joint == before:
+    joint, counts, streak = list(g.null_action), [0] * n_res, 0
+    for t in range(_WALK_STEP_CEILING // n * n):
+        i = t % n
+        acts = g.action_resources[i]
+        for r in acts[joint[i]]:
+            counts[r] -= 1
+        choice = choose(t, i, joint, counts)
+        streak = streak + 1 if choice == joint[i] else 1
+        joint[i] = choice
+        for r in acts[choice]:
+            counts[r] += 1
+        if streak == n:
             break
     threshold = welfare(g, joint)
 

@@ -10,13 +10,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, apply_design, design_common_interest
+from .designs import DesignSpec, _integer, apply_design, design_common_interest
 from .dynamics import k_round_walk, optimum
 from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, make_welfare_rule
 
@@ -37,11 +37,6 @@ class SummaryRow(NamedTuple):
     median: float
     q3: float
     max: float
-
-
-def _integer(x) -> bool:
-    """An integer, but not a bool, which ``Integral`` and ``Real`` admit."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _default_designs() -> tuple[DesignSpec, ...]:

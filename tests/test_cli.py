@@ -468,6 +468,8 @@ def test_config_seed_outside_the_philox_key_exits_2(tmp_path, capsys, seed):
 @pytest.mark.parametrize("config, message", [
     ({"rounds": True, "n_instances": True, "p_hit": True}, "n_instances must be a positive integer"),
     ({"designs": []}, "an experiment needs at least one design"),
+    ({"designs": [{"family": "asymptotic", "b": True, "c": True}]}, "design c must be a real number or null"),
+    ({"designs": [{"family": "asymptotic", "b": True}]}, "design b must be a positive integer"),
 ])
 def test_config_booleans_and_empty_designs_exit_2(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"

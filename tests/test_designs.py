@@ -230,6 +230,19 @@ def test_design_spec_rejects_bad_fields(kwargs):
         DesignSpec(**kwargs)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("c", "design c must be a real number or null"),
+    ("b", "design b must be a positive integer"),
+    ("chi", "design chi must be a real number or null"),
+    ("q", "design q must be a real number or null"),
+])
+def test_design_spec_refuses_booleans(name, message):
+    # True passes both the Integral and the Real checks
+    kwargs = {"family": "pareto", "chi": 1.0} if name in ("c", "b") else {"family": "pareto"}
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DesignSpec(**kwargs, **{name: True})
+
+
 def test_design_spec_accepts_numpy_numbers():
     spec = DesignSpec("asymptotic", c=np.float64(0.5), b=np.int64(2))
     assert spec.name() == "asymptotic"

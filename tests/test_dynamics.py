@@ -779,3 +779,62 @@ def test_the_step_ceiling_admits_a_walk_of_its_own_length(trap_ci, monkeypatch):
                  lambda: efficiency(trap_ci, 4), lambda: k_round_walk(trap_ci, 1, schedule=[0] * (3 * n + 1))):
         with pytest.raises(ValidationError, match="exceeds the"):
             call()
+
+
+def _public_walk(g, schedule):
+    """The incumbent-keeping walk from the null allocation through the public
+    API alone: each step's (player, action, welfare, potential), floats as hex."""
+    joint, steps = list(g.null_action), []
+    for i in schedule:
+        ties = best_responses(g, joint, i)
+        joint[i] = joint[i] if joint[i] in ties else ties[0]
+        steps.append((i, joint[i], welfare(g, joint).hex(), utility_full(g, joint).hex()))
+    return steps
+
+
+@st.composite
+def seeded_walks(draw):
+    """A random_game seed, k in 1..6 and a schedule: None for k round-robin
+    rounds, or a list that may repeat a player or leave one out."""
+    seed, k = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6))
+    n = random_game(np.random.default_rng(seed)).n_players
+    return seed, k, draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=5 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_walks())
+@example((87, 6, None))  # player 1 moves in round 2; the walk settles at step 7, mid-round
+@example((87, 1, [1, 1, 0, 1, 0, 1, 0, 1]))  # player 2 never moves
+def test_k_round_walk_matches_the_public_api_walk(case):
+    seed, k, schedule = case
+    g = random_game(np.random.default_rng(seed))
+    sched = round_robin_schedule(g.n_players, k) if schedule is None else schedule
+    event("round robin" if schedule is None else f"{len(set(schedule))} of {g.n_players} players move")
+    traj = k_round_walk(g, k, schedule=schedule)
+    assert [(s.player, s.action, s.welfare.hex(), s.potential.hex()) for s in traj.steps] == _public_walk(g, sched)
+    assert traj.final == traj.states()[-1]
+
+
+def test_a_settled_walk_scans_no_further(monkeypatch):
+    # player 2's change at step 3 is the last; players 0 and 1 keep at
+    # steps 4 and 5, so the walk settles at step 5 of its first two rounds
+    g = random_game(np.random.default_rng(1))
+    n, scans, ties = g.n_players, [], dynamics._ties
+    monkeypatch.setattr(dynamics, "_ties", lambda *a: scans.append(a[2]) or ties(*a))
+    traj = k_round_walk(g, 10_000)
+    assert scans == [0, 1, 2, 0, 1]
+    assert len(traj.steps) == n * 10_000
+    head = [(s.player, s.action, s.welfare.hex(), s.potential.hex()) for s in traj.steps[:2 * n]]
+    assert head == _public_walk(g, round_robin_schedule(n, 2))
+    assert traj.steps[2 * n:] == traj.steps[n:2 * n] * (10_000 - 2)
+    assert traj.final == traj.states()[2 * n]
+
+
+def test_the_worst_walk_replay_never_settles():
+    # every player keeps for a round, then a recorded action moves player 0:
+    # a replay that stopped once settled would copy the first round forward
+    g = random_game(np.random.default_rng(1))
+    acts = [1, 2, 1, 1, 2, 1, 0, 2, 1]
+    traj = dynamics._walk(g, (1, 2, 1), round_robin_schedule(3, 3), lambda t, i, joint, counts: acts[t])
+    assert [s.action for s in traj.steps] == acts
+    assert traj.final == (0, 2, 1)
