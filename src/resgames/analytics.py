@@ -18,6 +18,7 @@ from .model import TOL, UtilityRule, ValidationError, WelfareRule, _check_first_
 from .designs import pareto_setcov_values
 
 E = math.e
+_GRID = 1 << 16  # most (row, column) entries a closed form scores at once, as dynamics' _GATHER
 
 
 class BoundResult(NamedTuple):
@@ -30,6 +31,13 @@ class FrontierPoint(NamedTuple):
     one_round: float
 
 
+def _row_blocks(first: int, last: int, width: int):
+    """Ranges [lo, hi) that cover the rows first..last, each of at most
+    ``_GRID`` // width rows of ``width`` entries, and at least one row."""
+    step = max(1, _GRID // width)
+    return ((lo, min(lo + step, last + 1)) for lo in range(first, last + 1, step))
+
+
 def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundResult:
     """One-round walk efficiency guarantee for a single welfare/utility pair.
 
@@ -37,6 +45,12 @@ def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundRes
                (sum_{i<=y} f(i) - z min_{i<=y+1} f(i) + w(z)) / w(y)]^-1.
     ``truncated`` reports a maximizer that strictly dominates only on the
     y_max/z_max boundary, i.e. a larger index bound could change the value.
+
+    The (y, z) grid is scored in blocks of y rows, each of at most 2^16
+    entries (one row when a row is longer), so memory stays O(y_max) while a
+    full grid would take O(y_max^2).  Each entry is computed as a one-row-at-a-
+    time loop would compute it, and only maxima are taken, so the result does
+    not depend on the block size.
 
     Precondition: f(1) = w(1), the scale at which a design fixes f.  Scaling
     f leaves best responses unchanged but moves this value, so an f at any
@@ -50,16 +64,14 @@ def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundRes
     pref = np.cumsum(ft)
     runmin = np.minimum.accumulate(np.where(np.arange(y_max + 2) == 0, np.inf, ft))
     z = np.arange(y_max + 1)
-    best = -np.inf
-    best_interior = -np.inf
-    for y in range(1, y_max + 1):
+    best = best_interior = -np.inf
+    for lo, hi in _row_blocks(1, y_max, y_max + 1):
+        y = np.arange(lo, hi)[:, None]
         vals = (pref[y] - z * runmin[y + 1] + wt) / wt[y]
-        m = float(vals.max())
-        if m > best:
-            best = m
-        mi = float(vals[: y_max].max())
-        if y < y_max and mi > best_interior:
-            best_interior = mi
+        best = max(best, float(vals.max()))
+        inner = vals[: y_max - lo, :y_max]  # rows y < y_max, columns z < y_max
+        if inner.size:
+            best_interior = max(best_interior, float(inner.max()))
     return BoundResult(1.0 / best, best > best_interior + 1e-12)
 
 
@@ -108,7 +120,9 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
     family="setcov": n-agent set covering,
         1/poa = 1 + max_{1<=j<=n-1} { j f(j) - f(j+1), (n-1) f(n) }.
     family="bent": bent welfare rule with a nonincreasing f, f(1) = 1,
-        1/poa = max_{1<=l<=j} (w(l) + j f(j) - l f(j+1)) / w(j), j up to j_max.
+        1/poa = max_{1<=l<=j} (w(l) + j f(j) - l f(j+1)) / w(j), j up to j_max,
+        scored in blocks of j rows as :func:`one_round_bound` scores its grid,
+        so memory stays O(j_max); ``truncated`` reports a maximum only at j_max.
 
     Both read f at f(1) = w(1) and raise :class:`ValidationError` otherwise.
     """
@@ -134,10 +148,16 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
             raise ValidationError("j_max must be positive")
         wt = w.table(jm)
         ft = f.table(jm + 1)
-        m = [float(((wt[1 : j + 1] + j * ft[j] - np.arange(1, j + 1) * ft[j + 1]) / wt[j]).max())
-             for j in range(1, jm + 1)]  # m[j-1]: the max over l at j
-        best = max(m)
-        return BoundResult(1.0 / best, best > max(m[:-1], default=-np.inf) + 1e-12)
+        best = best_interior = -np.inf
+        for lo, hi in _row_blocks(1, jm, jm):
+            j = np.arange(lo, hi)[:, None]
+            l = np.arange(1, hi)
+            vals = np.where(l <= j, (wt[1:hi] + j * ft[j] - l * ft[j + 1]) / wt[j], -np.inf)
+            best = max(best, float(vals.max()))
+            inner = vals[: jm - lo]  # rows j < j_max
+            if inner.size:
+                best_interior = max(best_interior, float(inner.max()))
+        return BoundResult(1.0 / best, best > best_interior + 1e-12)
     raise ValidationError(f"no closed form for family {family!r}; setcov and bent have one")
 
 

@@ -130,8 +130,10 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
         head = [1.0]
         for jj in range(1, b - 1):
             head.append((jj * head[-1] - rho_b * min(jj, b)) / b + 1.0)
-        tail = _decay_tail(j[b - 1 :], float(b), lambda t: np.full_like(t, rho_b - 1.0))
-        vals = np.concatenate([np.asarray(head[:j_max]), tail])[:j_max]
+        vals = np.asarray(head[:j_max])  # the exact prefix f(1..b-1), all of it when j_max < b
+        if j_max >= b:
+            tail = _decay_tail(j[b - 1 :], float(b), lambda t: np.full_like(t, rho_b - 1.0))
+            vals = np.concatenate([vals, tail])
         vals = np.maximum(vals, 0.0)
     vals[0] = 1.0
     return make_utility_rule(vals, float(vals[-1]))

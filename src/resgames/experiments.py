@@ -158,16 +158,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def summarize(cfg: ExperimentConfig, rows: Sequence[Row]) -> list[SummaryRow]:
     """Min/quartiles/median/max of normalized welfare across instances."""
+    cells = {(spec.name(), r): [] for spec in cfg.designs for r in range(1, cfg.rounds + 1)}
+    for row in rows:
+        cell = cells.get((row.design, row.round))
+        if cell is not None:
+            cell.append(row.normalized_welfare)
     out = []
-    for spec in cfg.designs:
-        for r in range(1, cfg.rounds + 1):
-            vals = np.array([
-                row.normalized_welfare
-                for row in rows
-                if row.design == spec.name() and row.round == r
-            ])
-            lo, q1, med, q3, hi = np.percentile(vals, [0, 25, 50, 75, 100], method="linear")
-            out.append(SummaryRow(spec.name(), r, float(lo), float(q1), float(med), float(q3), float(hi)))
+    for (name, r), vals in cells.items():
+        lo, q1, med, q3, hi = np.percentile(np.array(vals), [0, 25, 50, 75, 100], method="linear")
+        out.append(SummaryRow(name, r, float(lo), float(q1), float(med), float(q3), float(hi)))
     return out
 
 

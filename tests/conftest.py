@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resgames import Game, Resource, UtilityRule, WelfareRule, build_poa_lp, utility_mc, welfare
-from resgames.analytics import LPSolution
+from resgames.analytics import BoundResult, LPSolution
 from resgames.model import TOL, _require
 
 
@@ -168,6 +168,38 @@ def loop_poa_lp(w: WelfareRule, f: UtilityRule, n: int):
                 nash.append(a * ft[a + x] - b * ft[a + x + 1])
                 norm.append(wt[a + x])
     return tuple(variables), np.array(obj), np.array(nash), np.array(norm)
+
+
+def loop_one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int) -> BoundResult:
+    """Reference one-round bound, scored one y row at a time: the maximum over
+    every (y, z) and the maximum off row y = y_max and column z = y_max."""
+    wt = w.table(y_max)
+    ft = f.table(y_max + 1)
+    pref = np.cumsum(ft)
+    runmin = np.minimum.accumulate(np.where(np.arange(y_max + 2) == 0, np.inf, ft))
+    z = np.arange(y_max + 1)
+    best = -np.inf
+    best_interior = -np.inf
+    for y in range(1, y_max + 1):
+        vals = (pref[y] - z * runmin[y + 1] + wt) / wt[y]
+        m = float(vals.max())
+        if m > best:
+            best = m
+        mi = float(vals[: y_max].max())
+        if y < y_max and mi > best_interior:
+            best_interior = mi
+    return BoundResult(1.0 / best, best > best_interior + 1e-12)
+
+
+def loop_bent_closed_form(w: WelfareRule, f: UtilityRule, j_max: int) -> BoundResult:
+    """Reference bent closed form, scored one j row at a time: the maximum over
+    l <= j at every j, and whether only row j = j_max reaches the largest."""
+    wt = w.table(j_max)
+    ft = f.table(j_max + 1)
+    m = [float(((wt[1 : j + 1] + j * ft[j] - np.arange(1, j + 1) * ft[j + 1]) / wt[j]).max())
+         for j in range(1, j_max + 1)]  # m[j-1]: the max over l at j
+    best = max(m)
+    return BoundResult(1.0 / best, best > max(m[:-1], default=-np.inf) + 1e-12)
 
 
 def highs_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> tuple[LPSolution, float]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from resgames import (
     CHI_MIN,
+    DesignSpec,
     UtilityRule,
     ValidationError,
     WelfareRule,
@@ -22,6 +24,7 @@ from resgames import (
     one_round_setcov,
     poa_closed_form,
     poa_lp,
+    resolve_design,
     solve_poa_lp,
     theory_bounds,
 )
@@ -29,7 +32,7 @@ from resgames import (
 from resgames.analytics import _check_bent
 from resgames.model import TOL
 
-from conftest import highs_poa_lp, loop_poa_lp
+from conftest import highs_poa_lp, loop_bent_closed_form, loop_one_round_bound, loop_poa_lp
 
 E = math.e
 
@@ -81,6 +84,60 @@ def test_one_round_bound_truncation_flag():
     res = one_round_bound(wsc, make_utility_rule((1.0, 1.0)), 50)
     assert res.truncated
     assert res.value < 0.03
+
+
+def _oracle_cases(n):
+    """(family, w, f) over the bent (b = 1..3), wta, harmonic and set-covering
+    rules under the common-interest, one-round and asymptotic designs, tabulated
+    past n; a bent rule of curvature 1 also takes its bend-b asymptotic design."""
+    families = [("bent", {"b": b, "curvature": c}) for b in (1, 2, 3) for c in (0.5, 1.0)]
+    families += [("wta", {"p": 0.5}), ("harmonic", {}), ("set_covering", {})]
+    for family, params in families:
+        w = make_welfare_rule(family, n + 2, **params)
+        specs = [DesignSpec("common_interest"), DesignSpec("one_round"), DesignSpec("asymptotic")]
+        if params.get("curvature") == 1.0:
+            specs.append(DesignSpec("asymptotic", b=params["b"]))
+        for spec in specs:
+            yield family, w, resolve_design(spec, w, n + 1)
+
+
+# 257 and 1000 span more than one 2^16-entry block of both grids
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 200, 257, 1000])
+def test_block_grids_match_their_loop_oracles(n):
+    bent_cases = 0
+    for family, w, f in _oracle_cases(n):
+        fast, slow = one_round_bound(w, f, n), loop_one_round_bound(w, f, n)
+        assert (fast.value.hex(), fast.truncated) == (slow.value.hex(), slow.truncated), (family, f)
+        if family == "bent":
+            fast, slow = poa_closed_form(w, f, "bent", j_max=n), loop_bent_closed_form(w, f, n)
+            assert (fast.value.hex(), fast.truncated) == (slow.value.hex(), slow.truncated), (family, f)
+            bent_cases += 1
+    assert bent_cases == 3 * 6 + 3
+    # constant f diverges on both grids, so the maximum sits on the boundary
+    flat = make_utility_rule((1.0, 1.0))
+    for w, fast, slow in (
+        (make_welfare_rule("set_covering", 52), one_round_bound, loop_one_round_bound),
+        (make_welfare_rule("bent", 52, b=1, curvature=0.5), one_round_bound, loop_one_round_bound),
+        (make_welfare_rule("bent", 52, b=1, curvature=0.5),
+         lambda w, f, n: poa_closed_form(w, f, "bent", j_max=n), loop_bent_closed_form),
+    ):
+        got, want = fast(w, flat, n), slow(w, flat, n)
+        assert (got.value.hex(), got.truncated) == (want.value.hex(), want.truncated)
+        assert got.truncated
+
+
+def test_block_grids_hold_memory_to_o_of_the_index_bound():
+    # a full 3001 x 3001 float64 grid would take 72 MB
+    w = make_welfare_rule("bent", 3002, b=1, curvature=0.5)
+    f = design_asymptotic(1, 0.5, 3003)
+    for bound in (lambda: one_round_bound(w, f, 3000), lambda: poa_closed_form(w, f, "bent", j_max=3000)):
+        tracemalloc.start()
+        try:
+            bound()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def test_one_round_bound_grid_matches_half_curvature():

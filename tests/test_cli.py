@@ -20,6 +20,12 @@ def test_design_csv(tmp_path, capsys):
     assert float(lines[2].split(",")[1]) == pytest.approx(2 / 3)
 
 
+def test_design_asymptotic_below_the_bend(capsys):
+    assert main(["design", "--design", "asymptotic", "--b", "4", "--C", "1", "--jmax", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "j,f_j", "1,1.0", "2,0.9392994166752517", "3,0.8482485416881292"]
+
+
 def test_design_json_stdout(capsys):
     rc = main(["design", "--design", "pareto", "--chi", "1.0", "--jmax", "4", "--format", "json"])
     assert rc == 0

@@ -133,6 +133,17 @@ def test_asymptotic_general_b_matches_recursion_head():
         assert max(abs(a - v) for a, v in zip(f.values, vals)) <= 1e-8
 
 
+def test_asymptotic_below_the_bend_is_the_exact_head():
+    # 2 <= j_max < b used to reduce over an empty tail and raise numpy's ValueError
+    assert design_asymptotic(4, 1.0, 3).values == (1.0, 0.9392994166752517, 0.8482485416881292)
+    for b in (2, 3, 4, 5, 8):
+        ref = design_asymptotic(b, 1.0, b + 5)
+        for j_max in range(2, b + 1):
+            f = design_asymptotic(b, 1.0, j_max)
+            assert f.values == ref.values[:j_max]
+            assert f.tail_value == ref.values[j_max - 1]
+
+
 def test_asymptotic_rejects_unsupported_combo():
     with pytest.raises(ValidationError):
         design_asymptotic(2, 0.5, 10)
