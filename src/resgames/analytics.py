@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, curvature, make_welfare_rule
+from .model import (TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, _integer, _require,
+                    _require_size, curvature, make_welfare_rule)
 from .designs import pareto_setcov_values
 
 E = math.e
@@ -56,8 +56,7 @@ def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundRes
     f leaves best responses unchanged but moves this value, so an f at any
     other scale raises :class:`ValidationError`.
     """
-    if y_max < 1:
-        raise ValidationError("y_max must be positive")
+    _require_size(y_max, "y_max")
     _check_first_values(w, f, "one_round_bound")
     wt = w.table(y_max)
     ft = f.table(y_max + 1)
@@ -83,8 +82,7 @@ def one_round_setcov(f: UtilityRule, j_trunc: int) -> float:
     nonincreasing in ``j_trunc`` and an upper bound on the true guarantee.
     f(1) must be 1, the set-covering w(1), the scale this guarantee reads.
     """
-    if j_trunc < 1:
-        raise ValidationError("j_trunc must be positive")
+    _require_size(j_trunc, "j_trunc")
     if abs(f.values[0] - 1.0) > TOL:
         raise ValidationError("one_round_setcov: f(1) must equal w(1) = 1")
     return _setcov_one_round(f.table(j_trunc)[1:])
@@ -129,8 +127,8 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
     if family == "setcov":
         _check_setcov(w)
         _check_first_values(w, f, "poa_closed_form")
-        if n is None or n < 1:
-            raise ValidationError("setcov closed form needs the number of agents n")
+        _require(n is not None, "setcov closed form needs the number of agents n")
+        _require_size(n, "n")
         if n == 1:
             return BoundResult(1.0, False)
         ft = f.table(n + 1)
@@ -144,8 +142,7 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         if not f.is_nonincreasing():
             raise ValidationError("bent closed form needs a nonincreasing f with f(1) = 1")
         jm = j_max if j_max is not None else 200
-        if jm < 1:
-            raise ValidationError("j_max must be positive")
+        _require_size(jm, "j_max")
         wt = w.table(jm)
         ft = f.table(jm + 1)
         best = best_interior = -np.inf
@@ -197,8 +194,7 @@ class LPSolution:
 
 def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
     """The n-agent price-of-anarchy LP of the welfare rule w under the utility rule f."""
-    if n < 1:
-        raise ValidationError("n must be positive")
+    _require_size(n, "n")
     wt = w.table(n)
     ft = f.table(n + 1)
     a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # ordered by a, then x, then b
@@ -296,11 +292,11 @@ def frontier_setcov(q: float, j_trunc: int) -> FrontierPoint:
 
 
 def _norm_rounds(k) -> float:
-    if k in ("one", 1):
+    if k == "one":
         return 1.0
     if k in ("infinity", "inf", math.inf):
         return math.inf
-    if isinstance(k, Integral) and k > 1:
+    if _integer(k) and k >= 1:
         return float(k)
     raise ValidationError(f"cannot interpret round count {k!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,8 @@ from .model import (
     ValidationError,
     WelfareRule,
     _check_utility_values,
+    _integer,
+    _require_size,
     curvature,
     make_utility_rule,
 )
@@ -33,11 +35,6 @@ E_MINUS_1 = E - 1.0
 CHI_MIN = 1.0 / E_MINUS_1
 
 _SNAP = 1e-12
-
-
-def _integer(x) -> bool:
-    """An integer, but not a bool, which ``Integral`` and ``Real`` admit."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _e_pow(n: int) -> float:
@@ -91,8 +88,7 @@ def design_one_round(c: float, j_max: int = 8) -> UtilityRule:
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("curvature must lie in [0, 1]")
-    if j_max < 1:
-        raise ValidationError("j_max must be positive")
+    _require_size(j_max, "j_max")
     f2 = (2.0 - 2.0 * c) / (2.0 - c)
     vals = (1.0,) + (f2,) * (j_max - 1)
     return make_utility_rule(vals, f2)
@@ -117,8 +113,7 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
         raise ValidationError("curvature must lie in [0, 1]")
     if b > 1 and c != 1.0:
         raise ValidationError("only bend 1 (any curvature) or curvature 1 (any bend) is supported")
-    if j_max < 2:
-        raise ValidationError("j_max must be at least 2")
+    _require_size(j_max, "j_max", 2)
     b = int(b)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if b == 1:
@@ -163,8 +158,7 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
     """
     if (chi is None) == (q is None):
         raise ValidationError("give exactly one of chi or q")
-    if j_max < 1:
-        raise ValidationError("j_max must be positive")
+    _require_size(j_max, "j_max")
     if chi is None:
         if not 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP:
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")

@@ -5,7 +5,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +14,7 @@ from .model import (
     Game,
     JointAction,
     ValidationError,
+    _integer,
     selection_counts,
     welfare,
 )
@@ -95,7 +95,7 @@ def round_robin_schedule(n_players: int, k: int) -> tuple[int, ...]:
 def _check_schedule(g: Game, k: int, schedule: Sequence[int] | None) -> tuple[int, ...]:
     """The walk's steps, ``schedule`` or else k round-robin rounds; k must be a
     positive integer, and a walk of more than 10**6 steps is refused unbuilt."""
-    if not isinstance(k, Integral) or k < 1:
+    if not _integer(k) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     steps = int(k) * g.n_players if schedule is None else len(schedule)
     if steps > _WALK_STEP_CEILING:
@@ -127,85 +127,89 @@ def best_responses(g: Game, a: Sequence[int], i: int) -> list[int]:
 
 def is_nash(g: Game, a: Sequence[int]) -> bool:
     """True iff one incumbent-keeping round from ``a`` leaves it unchanged,
-    the fixed point :func:`walk_to_nash` stops on."""
+    the fixed point :func:`walk_to_nash` stops on; the round is not recorded."""
     a = g.validate_joint(a)
-    return _walk(g, a, round_robin_schedule(g.n_players, 1), _deterministic(g)).final == a
+    return _incumbent_walk(g, a, range(g.n_players), g.n_players)[1] == a
 
 
-def _walk(g: Game, start: JointAction, schedule: tuple[int, ...], choose) -> Trajectory:
-    """The walk from ``start`` in which ``choose(t, i, joint, counts)`` picks
-    the action of ``schedule[t]``; ``joint`` is the state before the move and
-    ``counts`` its counts with the mover lifted, and neither may be changed.
+def _incumbent_walk(g: Game, start: JointAction, order: Sequence[int], n_steps: int,
+                    rows: list[list[float]] | None = None) -> tuple[list[int], JointAction]:
+    """The actions of the ``INCUMBENT_THEN_LEX`` walk from ``start`` whose
+    step t moves ``order[t % len(order)]``, at most ``n_steps`` of them, and
+    the state it ends at; ``rows`` is passed to :func:`_ties`.  Nothing is
+    recorded.
+
+    The mover, lifted to its empty action, keeps its action if it is tied for
+    best, else takes the lowest tied index.  The rule reads the state alone,
+    so once every player of ``order`` has moved since the last step that
+    changed the state (that step's mover included), the state is its fixed
+    point, a Nash state, and the walk stops: each later step would repeat
+    its player's last one.
+    """
+    joint, counts = list(start), selection_counts(g, start).tolist()
+    acts, since, movers = [], set(), len(set(order))
+    for t in range(n_steps):
+        i = order[t % len(order)]
+        old, res = joint[i], g.action_resources[i]
+        for r in res[old]:
+            counts[r] -= 1
+        ties = _ties(g, counts, i, rows)
+        a = joint[i] = old if old in ties else ties[0]
+        for r in res[a]:
+            counts[r] += 1
+        acts.append(a)
+        if a != old:
+            since.clear()
+        since.add(i)
+        if len(since) == movers:
+            break
+    return acts, tuple(joint)
+
+
+def _walk(g: Game, schedule: tuple[int, ...], acts: Sequence[int]) -> Trajectory:
+    """Records the walk from the null allocation in which step t moves
+    ``schedule[t]`` to ``acts[t]``.  Past the end of ``acts`` each step is
+    its player's last recorded one, as a settled :func:`_incumbent_walk`
+    leaves them.
 
     Each step's per-resource welfare and potential terms are kept in two
-    running rows, and a move rewrites only the entries of the resources it
-    leaves and enters.  After each step both rows are copied into a block
-    of at most ``_GATHER`` (step, resource) terms; a full block, and the
-    last one, is summed a row at a time, as :func:`welfare` sums one state,
-    to the same bits.
-
-    A chooser marked ``settles`` picks by the state alone, so once every
-    player of the schedule has moved since the last step that changed the
-    state (that step's mover included), the state is its fixed point: each
-    mover's ties, read on the same lifted counts, hold its action.  The walk
-    then stops scanning, and each later step is its player's last step.
+    running rows, which start at the null allocation's w(0) = F(0) = 0, and
+    a move rewrites only the entries of the resources it leaves and enters.
+    After each step both rows are copied into a block of at most ``_GATHER``
+    (step, resource) terms; a full block, and the last one, is summed a row
+    at a time, as :func:`welfare` sums one state, to the same bits.
     """
-    counts = selection_counts(g, start).tolist()
-    joint = list(start)
-    wrows, crows = g._welfare_rows, g._cumulative_rows
     n_res = g.n_resources
-    rows = min(max(1, _GATHER // n_res), len(schedule))
-    wrun = array("d", [row[c] for row, c in zip(wrows, counts)])
-    prun = array("d", [row[c] for row, c in zip(crows, counts)])
+    counts, joint = [0] * n_res, list(g.null_action)
+    wrows, crows = g._welfare_rows, g._cumulative_rows
+    rows = min(max(1, _GATHER // n_res), len(acts))
+    wrun = array("d", [row[0] for row in wrows])
+    prun = array("d", [row[0] for row in crows])
     wblock, pblock = np.empty((rows, n_res)), np.empty((rows, n_res))
     wflat, pflat = memoryview(wblock.reshape(-1)), memoryview(pblock.reshape(-1))
-    acts, wel, pot = [], [], []
-    movers = len(set(schedule)) if getattr(choose, "settles", False) else 0
-    since: dict[int, int] = {}  # player -> its last step since the last change
-    for t, i in enumerate(schedule):
-        old = joint[i]
-        for r in g.action_resources[i][old]:
+    wel, pot = [], []
+    for t, (i, a) in enumerate(zip(schedule, acts)):
+        res = g.action_resources[i]
+        for r in res[joint[i]]:
             counts[r] -= 1
             wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
-        choice = joint[i] = choose(t, i, joint, counts)
-        for r in g.action_resources[i][choice]:
+        joint[i] = a
+        for r in res[a]:
             counts[r] += 1
             wrun[r], prun[r] = wrows[r][counts[r]], crows[r][counts[r]]
-        acts.append(choice)
         row = t % rows
         wflat[row * n_res:(row + 1) * n_res] = wrun
         pflat[row * n_res:(row + 1) * n_res] = prun
         if row == rows - 1:
             wel += wblock.sum(axis=1).tolist()
             pot += pblock.sum(axis=1).tolist()
-        if movers:
-            if choice != old:
-                since.clear()
-            since[i] = t
-            if len(since) == movers:
-                break
     if (left := len(acts) - len(wel)):
         wel += wblock[:left].sum(axis=1).tolist()
         pot += pblock[:left].sum(axis=1).tolist()
     steps = list(map(Step, schedule, acts, wel, pot))
-    if len(steps) < len(schedule):
-        settled = {i: steps[t] for i, t in since.items()}
-        steps += map(settled.__getitem__, schedule[len(steps):])
-    return Trajectory(start, tuple(steps), tuple(joint))
-
-
-def _deterministic(g: Game, rows: list[list[float]] | None = None):
-    """Chooser for :func:`_walk` under ``INCUMBENT_THEN_LEX``: the mover
-    keeps its action if it is tied for best, else takes the lowest tied
-    index; ``rows`` is passed to :func:`_ties`.  It reads only the state, so
-    a walk it drives may stop once settled."""
-
-    def choose(t, i, joint, counts):
-        ties = _ties(g, counts, i, rows)
-        return joint[i] if joint[i] in ties else ties[0]
-
-    choose.settles = True
-    return choose
+    last = dict(zip(schedule, steps))  # each player's last recorded step
+    steps += map(last.__getitem__, schedule[len(steps):])
+    return Trajectory(g.null_action, tuple(steps), tuple(joint))
 
 
 _INT16_LIMIT = 2**15  # the search mirror holds counts and action indices as int16 below this
@@ -440,8 +444,7 @@ class _AdversarialSearch:
         while walk is not None:
             a, walk = walk
             acts.append(a)
-        return _walk(self.g, self.g.null_action, self.schedule,
-                     lambda t, i, joint, counts: acts[t])
+        return _walk(self.g, self.schedule, acts)
 
 
 def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
@@ -475,36 +478,36 @@ def k_round_walk(g: Game, k: int, *, schedule: Sequence[int] | None = None) -> T
     lowest tied index.
 
     ``schedule`` replaces the k round-robin rounds with its own step
-    sequence; ``k`` must still be a positive integer.  Once every player of
+    sequence; ``k`` must still be a positive integer.  :func:`_incumbent_walk`
+    chooses the actions and :func:`_walk` records them.  Once every player of
     the schedule has moved at one state without changing it, that state is
     Nash, and the walk copies it forward unscanned: each later step is its
     player's step at that state, to the same bits.  The worst walk over
     every tie resolution is :func:`adversarial_min_welfare`'s.
     """
     sched = _check_schedule(g, k, schedule)
-    return _walk(g, g.null_action, sched, _deterministic(g))
+    return _walk(g, sched, _incumbent_walk(g, g.null_action, sched, len(sched))[0])
 
 
 def walk_to_nash(g: Game) -> Trajectory:
     """Iterate ``INCUMBENT_THEN_LEX`` rounds from the null allocation until
     a full round leaves the state unchanged, a Nash state (:func:`is_nash`).
 
-    Convergence is guaranteed by the potential; a ceiling of 10**6 steps
-    (:class:`EnumerationCapError`) guards against tolerance artifacts.
+    One :func:`_incumbent_walk` finds the state, and the walk is recorded to
+    the end of the first round that leaves it unchanged.  Convergence is
+    guaranteed by the potential; a ceiling of 10**6 steps, taken in whole
+    rounds, guards against tolerance artifacts: a walk that needs more
+    raises :class:`EnumerationCapError` with ``explored`` that ceiling.
     """
     n = g.n_players
-    one_round = round_robin_schedule(n, 1)
-    choose = _deterministic(g)
-    all_steps: list[Step] = []
-    state = g.null_action
-    while True:
-        if len(all_steps) + n > _WALK_STEP_CEILING:
-            raise EnumerationCapError(len(all_steps), _WALK_STEP_CEILING, None)
-        traj = _walk(g, state, one_round, choose)
-        all_steps.extend(traj.steps)
-        if traj.final == state:
-            return Trajectory(g.null_action, tuple(all_steps), traj.final)
-        state = traj.final
+    ceiling = _WALK_STEP_CEILING // n * n
+    acts, _ = _incumbent_walk(g, g.null_action, range(n), ceiling)
+    # a settled walk ends n - 1 steps after its last change, or n steps in
+    # when no player moves, and the next round is the first that changes nothing
+    rounds = 1 if acts == list(g.null_action) else len(acts) // n + 1
+    if rounds * n > ceiling:
+        raise EnumerationCapError(ceiling, _WALK_STEP_CEILING, None)
+    return _walk(g, round_robin_schedule(n, rounds), acts)
 
 
 def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]:
@@ -576,8 +579,10 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     most ``_BLOCK`` profiles.  The other players are walked depth first, a
     batch of sibling subtrees at a time, and a subtree is skipped when its
     welfare bound (the partial welfare plus each remaining player's largest
-    possible gain) stays below a welfare already attained.  ``budget`` caps
-    the worst-case work, the size of the joint action space.
+    possible gain) stays below a welfare already attained, at first that of
+    the common-interest game's :func:`_incumbent_walk`, which is not
+    recorded.  ``budget`` caps the worst-case work, the size of the joint
+    action space.
     """
     sizes = [len(acts) for acts in g.actions]
     total = math.prod(sizes)
@@ -608,25 +613,10 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     gflat = np.maximum.accumulate(inc[:, ::-1], axis=1)[:, ::-1].T.ravel()
     slack = (n + n_res + 1) ** 2 * 2.0**-44 * float(np.abs(wtab).sum())
 
-    # threshold: a welfare attained, that of the incumbent-keeping walk of the
-    # common-interest game (each selector's utility its welfare increment)
-    # from the empty allocation, run up to the walks' ceiling in whole
-    # rounds, or until it settles as :func:`_walk` does: n steps in a row
-    # leave the state as the first of them left it.
-    choose = _deterministic(g, np.diff(wtab, prepend=0.0).tolist())
-    joint, counts, streak = list(g.null_action), [0] * n_res, 0
-    for t in range(_WALK_STEP_CEILING // n * n):
-        i = t % n
-        acts = g.action_resources[i]
-        for r in acts[joint[i]]:
-            counts[r] -= 1
-        choice = choose(t, i, joint, counts)
-        streak = streak + 1 if choice == joint[i] else 1
-        joint[i] = choice
-        for r in acts[choice]:
-            counts[r] += 1
-        if streak == n:
-            break
+    # threshold: the common-interest walk (each selector's utility its welfare
+    # increment) to its fixed point, or to the walks' ceiling in whole rounds
+    _, joint = _incumbent_walk(g, g.null_action, range(n), _WALK_STEP_CEILING // n * n,
+                               np.diff(wtab, prepend=0.0).tolist())
     threshold = welfare(g, joint)
 
     split, block = n - 1, sizes[-1]

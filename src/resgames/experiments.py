@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .designs import DesignSpec, _integer, apply_design, design_common_interest
+from .designs import DesignSpec, apply_design, design_common_interest
 from .dynamics import k_round_walk, optimum
-from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, make_welfare_rule
+from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, _integer, make_welfare_rule
 
 
 class Row(NamedTuple):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,17 @@ class ValidationError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _integer(x) -> bool:
+    """An integer, but not a bool, which ``Integral`` and ``Real`` admit."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _require_size(x, name: str, least: int = 1) -> None:
+    """Refuses a size ``x`` that is not an integer (a bool included) or is below ``least``."""
+    _require(_integer(x), f"{name} must be an integer, got {x!r}")
+    _require(x >= least, f"{name} must be positive" if least == 1 else f"{name} must be at least {least}")
 
 
 class _TabulatedRule:
@@ -170,7 +181,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
 
     Build a :class:`WelfareRule` directly for any other rule.
     """
-    _require(j_max >= 1, "j_max must be positive")
+    _require_size(j_max, "j_max")
     if family == "bent":
         _require(isinstance(curvature, Real) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
         _require(int(b) == b and b >= 1, "bent rule needs integer b >= 1")

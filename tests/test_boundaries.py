@@ -7,6 +7,7 @@ from resgames import (
     LPSolution,
     UtilityRule,
     ValidationError,
+    adversarial_min_welfare,
     build_common_interest_chain,
     build_poa_lp,
     build_poa_witness,
@@ -14,7 +15,9 @@ from resgames import (
     design_asymptotic,
     design_common_interest,
     design_one_round,
+    frontier_setcov,
     gen_wta,
+    k_round_walk,
     make_welfare_rule,
     one_round_bound,
     one_round_setcov,
@@ -23,6 +26,7 @@ from resgames import (
     solve_poa_lp,
     theory_bounds,
 )
+from resgames.designs import pareto_setcov_values
 
 SETCOV = make_welfare_rule("set_covering", 8)
 BENT = make_welfare_rule("bent", 8, b=1, curvature=0.5)
@@ -88,3 +92,56 @@ def test_master_seeds_in_range_key_distinct_instances():
     seeds = (-2**63, -1, 0, 2**62 + 1, 2**62 + 2, 2**63 - 1)
     values = {tuple(r.value for r in gen_wta(ExperimentConfig(master_seed=s), 0).resources) for s in seeds}
     assert len(values) == len(seeds)
+
+
+CHAIN = build_common_interest_chain(3, 0.5).game
+CI_SETCOV = design_common_interest(SETCOV)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: make_welfare_rule("set_covering", 2.5), "j_max must be an integer, got 2.5"),
+    (lambda: make_welfare_rule("set_covering", True), "j_max must be an integer, got True"),
+    (lambda: k_round_walk(CHAIN, True), "k must be a positive integer, got True"),
+    (lambda: adversarial_min_welfare(CHAIN, True), "k must be a positive integer, got True"),
+    (lambda: one_round_bound(BENT, design_one_round(0.5), True), "y_max must be an integer, got True"),
+    (lambda: one_round_bound(BENT, design_one_round(0.5), 2.5), "y_max must be an integer, got 2.5"),
+    (lambda: poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=True), "n must be an integer, got True"),
+    (lambda: poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=2.5), "n must be an integer, got 2.5"),
+    (lambda: poa_closed_form(BENT, design_one_round(0.5), "bent", j_max=True), "j_max must be an integer, got True"),
+    (lambda: poa_closed_form(BENT, design_one_round(0.5), "bent", j_max=2.5), "j_max must be an integer, got 2.5"),
+    (lambda: build_poa_lp(BENT, design_one_round(0.5), 2.5), "n must be an integer, got 2.5"),
+    (lambda: solve_poa_lp(SETCOV, CI_SETCOV, True), "n must be an integer, got True"),
+    (lambda: poa_lp(SETCOV, CI_SETCOV, True), "n must be an integer, got True"),
+    (lambda: one_round_setcov(CI_SETCOV, True), "j_trunc must be an integer, got True"),
+    (lambda: one_round_setcov(CI_SETCOV, 2.5), "j_trunc must be an integer, got 2.5"),
+    (lambda: design_one_round(0.5, True), "j_max must be an integer, got True"),
+    (lambda: design_one_round(0.5, 2.5), "j_max must be an integer, got 2.5"),
+    (lambda: design_asymptotic(1, 0.5, 2.5), "j_max must be an integer, got 2.5"),
+    (lambda: pareto_setcov_values(q=0.6, j_max=True), "j_max must be an integer, got True"),
+    (lambda: pareto_setcov_values(q=0.6, j_max=2.5), "j_max must be an integer, got 2.5"),
+    (lambda: frontier_setcov(0.6, 2.5), "j_max must be an integer, got 2.5"),
+    (lambda: theory_bounds(0.5, True, "optimal"), "cannot interpret round count True"),
+    (lambda: theory_bounds(0.5, 1.0, "optimal"), "cannot interpret round count 1.0"),
+], ids=["welfare-j_max_float", "welfare-j_max_bool", "k_round_walk-k_bool", "adversarial-k_bool",
+        "one_round_bound-y_max_bool", "one_round_bound-y_max_float", "closed_form-setcov-n_bool",
+        "closed_form-setcov-n_float", "closed_form-bent-j_max_bool", "closed_form-bent-j_max_float",
+        "build_poa_lp-n_float", "solve_poa_lp-n_bool", "poa_lp-n_bool", "one_round_setcov-j_trunc_bool",
+        "one_round_setcov-j_trunc_float", "design_one_round-j_max_bool", "design_one_round-j_max_float",
+        "design_asymptotic-j_max_float", "pareto-j_max_bool", "pareto-j_max_float", "frontier-j_trunc_float",
+        "theory_bounds-rounds_bool", "theory_bounds-rounds_float"])
+def test_size_arguments_are_integers(call, fragment):
+    # booleans and floats once ran as sizes, or raised a bare TypeError
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert fragment in str(exc.value)
+
+
+def test_size_arguments_take_numpy_integers():
+    f = design_one_round(0.5)
+    assert one_round_bound(BENT, f, np.int64(20)) == one_round_bound(BENT, f, 20)
+    assert poa_lp(SETCOV, CI_SETCOV, np.int64(4)) == poa_lp(SETCOV, CI_SETCOV, 4)
+    assert (poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=np.int64(4))
+            == poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=4))
+    assert make_welfare_rule("set_covering", np.int64(3)) == make_welfare_rule("set_covering", 3)
+    assert design_asymptotic(1, 0.5, np.int64(6)) == design_asymptotic(1, 0.5, 6)
+    assert k_round_walk(CHAIN, np.int64(2)) == k_round_walk(CHAIN, 2)

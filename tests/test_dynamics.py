@@ -21,6 +21,7 @@ from resgames import (
     adversarial_min_welfare,
     apply_design,
     best_responses,
+    design_common_interest,
     design_one_round,
     efficiency,
     gen_wta,
@@ -31,6 +32,7 @@ from resgames import (
     optimum,
     reachable_nash_min,
     round_robin_schedule,
+    solve_poa_lp,
     trajectory_to_jsonl,
     utility_full,
     utility_mc,
@@ -41,6 +43,7 @@ from resgames import dynamics
 from resgames.constructions import (
     build_common_interest_chain,
     build_greedy_trap,
+    build_poa_witness,
     build_two_agent_worst_case,
 )
 
@@ -831,10 +834,78 @@ def test_a_settled_walk_scans_no_further(monkeypatch):
 
 
 def test_the_worst_walk_replay_never_settles():
-    # every player keeps for a round, then a recorded action moves player 0:
-    # a replay that stopped once settled would copy the first round forward
+    # the recorder takes its actions as given from the null allocation: the
+    # second round keeps every action of the first, then player 0 moves, so a
+    # recorder that stopped at the settled second round would copy it forward
     g = random_game(np.random.default_rng(1))
     acts = [1, 2, 1, 1, 2, 1, 0, 2, 1]
-    traj = dynamics._walk(g, (1, 2, 1), round_robin_schedule(3, 3), lambda t, i, joint, counts: acts[t])
+    traj = dynamics._walk(g, round_robin_schedule(3, 3), acts)
     assert [s.action for s in traj.steps] == acts
     assert traj.final == (0, 2, 1)
+    _assert_steps_score_their_states(g, traj, 9)
+
+
+def still_game() -> Game:
+    """Two players whose one resource is worth nothing: every action ties
+    with the empty one, so no player moves."""
+    w = make_welfare_rule("set_covering", 2)
+    r = Resource("r", w, UtilityRule((1.0,)), 0.0)
+    return Game((r,), ((frozenset(), frozenset({"r"})),) * 2)
+
+
+def _hex_steps(traj):
+    return [(s.player, s.action, s.welfare.hex(), s.potential.hex()) for s in traj.steps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_game(np.random.default_rng(seed))))
+@example(still_game())
+@example(random_game(np.random.default_rng(10)))  # the last change is step 5, the first of round 2
+@example(random_game(np.random.default_rng(87)))  # the walk settles at step 7, mid-round
+def test_walk_to_nash_is_the_k_round_walk_to_its_first_unchanged_round(g):
+    n, traj = g.n_players, walk_to_nash(g)
+    rounds, left = divmod(len(traj.steps), n)
+    event(f"{rounds} rounds")
+    assert left == 0
+    assert _hex_steps(traj) == _hex_steps(k_round_walk(g, rounds))
+    ends = traj.states()[::n]  # the state after each whole round
+    assert ends[-1] == ends[-2] == traj.final
+    assert rounds == 1 or ends[-2] != ends[-3]
+    still = all(s.action == g.null_action[s.player] for s in traj.steps)
+    assert (rounds == 1) == still
+
+
+@pytest.mark.parametrize("g, scanned, recorded", [
+    (still_game(), 2, 2),  # no player moves, so the first round is the last
+    (random_game(np.random.default_rng(10)), 8, 12),  # the last change is step 5, the first of round 2
+    (random_game(np.random.default_rng(87)), 7, 9),  # the last change is step 5, mid-round 2
+])
+def test_walk_to_nash_records_to_the_end_of_its_first_unchanged_round(g, scanned, recorded):
+    acts, final = dynamics._incumbent_walk(g, g.null_action, range(g.n_players), 10**6)
+    traj = walk_to_nash(g)
+    assert (len(acts), len(traj.steps), traj.final) == (scanned, recorded, final)
+
+
+@pytest.mark.parametrize("ceiling", [8, 11])
+def test_walk_to_nash_refuses_a_confirming_round_past_its_ceiling(monkeypatch, ceiling):
+    # the walk changes last at step 5 and settles at step 8, but the round
+    # that confirms it ends at step 12: the ceiling counts whole rounds
+    g = random_game(np.random.default_rng(10))
+    monkeypatch.setattr(dynamics, "_WALK_STEP_CEILING", 12)
+    assert len(walk_to_nash(g).steps) == 12
+    monkeypatch.setattr(dynamics, "_WALK_STEP_CEILING", ceiling)
+    with pytest.raises(EnumerationCapError) as exc:
+        walk_to_nash(g)
+    assert (exc.value.cap, exc.value.explored, exc.value.best_upper) == (ceiling, 8, None)
+
+
+def test_nash_checks_and_the_optimum_record_no_walk(monkeypatch):
+    wsc = make_welfare_rule("set_covering", 8)
+    con = build_poa_witness(solve_poa_lp(wsc, design_common_interest(wsc), 3), 40)
+    wta = gen_wta(ExperimentConfig(), 0)
+    want = optimum(wta)
+    monkeypatch.setattr(dynamics, "_walk", mock.Mock(side_effect=AssertionError("a walk was recorded")))
+    assert is_nash(con.game, con.meta["nash_action"])
+    assert not is_nash(con.game, con.game.null_action)
+    assert optimum(wta) == want
+    dynamics._walk.assert_not_called()
