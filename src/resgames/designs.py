@@ -107,7 +107,7 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
     whose terms are computed as running products of factors <= 1; the forward
     recursion itself drifts past 1e-9 of the true values around j = 12.
     """
-    if int(b) != b or b < 1:
+    if not (_integer(b) and b >= 1):
         raise ValidationError("b must be an integer >= 1")
     if not 0.0 <= c <= 1.0:
         raise ValidationError("curvature must lie in [0, 1]")

@@ -230,8 +230,16 @@ class _AdversarialSearch:
     count or an action index may not fit) holds the players' actions in
     ``[0, n)``, ordered by last step, latest last, and the resources' counts
     in ``[n, n + R)``, latest first.  The players that still move then end
-    the first part and the active resources start the second, so the key at
-    t is the bytes of one slice ``S[lo[t]:hi[t]]``, one memo dict per step.
+    the first part and the active resources start the second, so the state
+    at t is one slice ``S[lo[t]:hi[t]]``.  Within it, a player that has not
+    moved before t is at its empty action, and a resource that no player
+    who moved before t can select is at count 0, in every state at step t.
+    The key drops the players past ``pe[t]``, one past the last slot of a
+    player that moved before t, and the resources before ``qs[t]``, the
+    first slot of a resource such a player can select: it is the bytes of
+    ``S[lo[t]:pe[t]]`` and ``S[qs[t]:hi[t]]`` joined.  Each step has its own
+    memo dict and fixed part lengths, so two states share a key exactly when
+    they share the slice.
 
     The bound is Rosenthal's exact potential Phi = sum_r v_r * F_r(c_r), F_r
     the cumulative utility, which ``_set`` keeps in ``phi``.  A move changes
@@ -267,26 +275,46 @@ class _AdversarialSearch:
         self.g = g
         self.schedule = schedule
         self.cap = cap
-        n, n_steps = g.n_players, len(schedule)
-        player_last = [-1] * n
+        n, n_res, n_steps = g.n_players, g.n_resources, len(schedule)
+        # each player's first and last step, and each resource's first and
+        # last step among the players that can select it; n_steps and -1 when none
+        player_first, player_last = [n_steps] * n, [-1] * n
         for t, i in enumerate(schedule):
+            if player_last[i] < 0:
+                player_first[i] = t
             player_last[i] = t
-        res_last = [-1] * g.n_resources
+        res_first, res_last = [n_steps] * n_res, [-1] * n_res
         for i, acts in enumerate(g.action_resources):
+            first, last = player_first[i], player_last[i]
             for r in set().union(*acts):
-                res_last[r] = max(res_last[r], player_last[i])
-        self.players = sorted(range(n), key=player_last.__getitem__)
-        self.res_order = sorted(range(g.n_resources), key=lambda r: (-res_last[r], r))
-        self.lo = [n - m for m in self._prefix_lengths(player_last, n_steps)]
+                if last > res_last[r]:
+                    res_last[r] = last
+                if first < res_first[r]:
+                    res_first[r] = first
+        players = np.argsort(player_last, kind="stable")
+        res_order = np.argsort(np.negative(res_last), kind="stable")
+        slot, res_slot = np.argsort(players), n + np.argsort(res_order)
+        lo = n - self._prefix_lengths(player_last, n_steps)
         n_active = self._prefix_lengths(res_last, n_steps)
-        self.hi = [n + m for m in n_active]
+        hi = n + n_active
+        # the key's ends: the players past pe[t] have not moved before step t,
+        # and no player that has can select a resource before qs[t].  Slots
+        # are filed at first step + 1, so the prefix max and min at t read the
+        # steps before t; the last entry, never read, takes those that never move
+        top = np.full(n_steps + 2, -1)
+        top[np.add(player_first, 1)] = slot
+        bottom = np.full(n_steps + 2, n + n_res)
+        np.minimum.at(bottom, np.add(res_first, 1), res_slot)
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        self.pe = np.maximum(lo, np.maximum.accumulate(top[:-1]) + 1).tolist()
+        self.qs = np.minimum(hi, np.minimum.accumulate(bottom[:-1])).tolist()
+        res_order, n_active = res_order.tolist(), n_active.tolist()
         wrows, crows = g._welfare_rows, g._cumulative_rows
         self.finalized_after = [  # (welfare row, potential row, resource) of those step t's move finalizes
-            [(wrows[r], crows[r], r) for r in self.res_order[n_active[t + 1]:n_active[t]]]
+            [(wrows[r], crows[r], r) for r in res_order[n_active[t + 1]:n_active[t]]]
             for t in range(n_steps)
         ]
-        self.slot = np.argsort(self.players).tolist()
-        res_slot = (n + np.argsort(self.res_order)).tolist()
+        self.slot, res_slot = slot.tolist(), res_slot.tolist()
         urows = g._utility_rows
         self.moves = [
             [tuple([(r, res_slot[r], urows[r]) for r in res]) for res in acts] for acts in g.action_resources
@@ -300,7 +328,7 @@ class _AdversarialSearch:
         self.counts = [0] * g.n_resources
         self.phi = 0.0
         # a memoryview: item updates and slice bytes cost less than on the array
-        self.S = memoryview(np.array([self.joint[i] for i in self.players] + self.counts, dtype=self.dtype))
+        self.S = memoryview(np.array([self.joint[i] for i in players] + self.counts, dtype=self.dtype))
 
         W, U, F = g.welfare_tables, g.utility_tables, g.cumulative_utility_tables
         cols = np.arange(W.shape[1])
@@ -313,21 +341,19 @@ class _AdversarialSearch:
         self.exact = self.alpha == 1.0 and self.mass < 2.0**30 and not any(
             np.mod(tab * 2.0**20, 1.0).any() for tab in (W, U, F))
         delta = 0.0 if self.exact else TOL
-        first: dict[int, int] = {}
-        for t, i in enumerate(schedule):
-            first.setdefault(i, t)
         gain = [0.0] * (n_steps + 1)
-        for i, t in first.items():
-            gain[t] = self.u_min[i]
+        for t, u in zip(player_first, self.u_min):
+            if t < n_steps:
+                gain[t] = u
         for t in reversed(range(n_steps)):
             gain[t] += gain[t + 1] - delta
         self.gain = gain  # gain[t] - delta * (steps - t), as one suffix sum
         self.eps = self._slack(n_steps, delta * n_steps)
 
     @staticmethod
-    def _prefix_lengths(last: list[int], n_steps: int) -> list[int]:
+    def _prefix_lengths(last: list[int], n_steps: int) -> np.ndarray:
         """For t = 0..n_steps, how many entries of ``last`` are >= t."""
-        return (len(last) - np.searchsorted(np.sort(last), np.arange(n_steps + 1))).tolist()
+        return len(last) - np.searchsorted(np.sort(last), np.arange(n_steps + 1))
 
     def _slack(self, depth: int, drop: float) -> float:
         """The rounding slack of a bound read ``depth`` moves deep that allows
@@ -373,7 +399,7 @@ class _AdversarialSearch:
         ``self.walk``."""
         g, sched, counts, null = self.g, self.schedule, self.counts, self.g.null_action
         joint, memo, fin_after, gain = self.joint, self.memo, self.finalized_after, self.gain
-        S, lo, hi = self.S, self.lo, self.hi
+        S, lo, pe, qs, hi = self.S, self.lo, self.pe, self.qs, self.hi
         alpha, eps, half, inf = self.alpha, self.eps, self.eps / 2, math.inf
         set_ = self._set
         stack, t, acc, fin, upper = [], 0, 0.0, 0.0, inf  # upper: the least finished walk
@@ -392,7 +418,7 @@ class _AdversarialSearch:
                     old, phi = joint[i], self.phi
                     if old != null[i]:
                         set_(i, null[i])
-                    key = S[lo[t]:hi[t]].tobytes()
+                    key = S[lo[t]:pe[t]].tobytes() + S[qs[t]:hi[t]].tobytes()
                     if (hit := memo[t].get(key)) is None:
                         self.explored += 1
                         if self.explored > self.cap:

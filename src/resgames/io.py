@@ -44,8 +44,7 @@ def _welfare_from_dict(d: dict) -> WelfareRule:
     if "values" in d and d["values"]:
         return WelfareRule(d["values"], d.get("tail_slope", 0.0), d.get("family", "explicit"))
     params = dict(d.get("params", {}))
-    j_max = int(params.pop("j_max", 64))
-    return make_welfare_rule(d["family"], j_max, **params)
+    return make_welfare_rule(d["family"], params.pop("j_max", 64), **params)
 
 
 def game_from_dict(d: dict) -> Game:

@@ -184,7 +184,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
     _require_size(j_max, "j_max")
     if family == "bent":
         _require(isinstance(curvature, Real) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
-        _require(int(b) == b and b >= 1, "bent rule needs integer b >= 1")
+        _require(_integer(b) and b >= 1, "bent rule needs integer b >= 1")
         b = int(b)
         _require(j_max >= b, "bent rule needs j_max >= b so the constant tail is exact")
         c = float(curvature)

@@ -136,6 +136,23 @@ def test_size_arguments_are_integers(call, fragment):
     assert fragment in str(exc.value)
 
 
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: make_welfare_rule("bent", 4, b=True, curvature=0.5), "bent rule needs integer b >= 1"),
+    (lambda: make_welfare_rule("bent", 4, b=2.0, curvature=0.5), "bent rule needs integer b >= 1"),
+    (lambda: make_welfare_rule("bent", 4, b=1.0, curvature=0.5), "bent rule needs integer b >= 1"),
+    (lambda: design_asymptotic(True, 0.5, 8), "b must be an integer >= 1"),
+    (lambda: design_asymptotic(1.0, 0.5, 8), "b must be an integer >= 1"),
+    (lambda: design_asymptotic(2.0, 1.0, 8), "b must be an integer >= 1"),
+], ids=["welfare-b_bool", "welfare-b_float2", "welfare-b_float1", "asymptotic-b_bool", "asymptotic-b_float1",
+        "asymptotic-b_float2"])
+def test_the_bend_is_an_integer(call, fragment):
+    # a bool or an integral float once passed for the bend and built a rule
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert fragment in str(exc.value)
+
+
 def test_size_arguments_take_numpy_integers():
     f = design_one_round(0.5)
     assert one_round_bound(BENT, f, np.int64(20)) == one_round_bound(BENT, f, 20)
@@ -144,4 +161,7 @@ def test_size_arguments_take_numpy_integers():
             == poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=4))
     assert make_welfare_rule("set_covering", np.int64(3)) == make_welfare_rule("set_covering", 3)
     assert design_asymptotic(1, 0.5, np.int64(6)) == design_asymptotic(1, 0.5, 6)
+    assert design_asymptotic(np.int64(2), 1.0, 6) == design_asymptotic(2, 1.0, 6)
+    assert (make_welfare_rule("bent", 4, b=np.int64(2), curvature=0.5)
+            == make_welfare_rule("bent", 4, b=2, curvature=0.5))
     assert k_round_walk(CHAIN, np.int64(2)) == k_round_walk(CHAIN, 2)

@@ -19,6 +19,7 @@ from resgames import (
     walk_to_nash,
     welfare,
 )
+from resgames.cli import main
 from resgames.constructions import build_greedy_trap, build_two_agent_worst_case
 from resgames.designs import design_one_round
 from resgames.model import ValidationError
@@ -80,6 +81,27 @@ def test_welfare_family_reconstruction():
     g = game_from_dict(d)
     assert g.resources[0].welfare.values == (1.0, 1.5, 2.0, 2.5)
 
+
+
+@pytest.mark.parametrize("j_max", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_a_files_welfare_size_is_not_rounded(tmp_path, capsys, j_max):
+    # int() once read these as 2, 1 and 3 and built the rule
+    d = {
+        "resources": [
+            {
+                "id": "x",
+                "welfare": {"family": "set_covering", "params": {"j_max": j_max}},
+                "utility": {"values": [1.0]},
+            }
+        ],
+        "players": [{"actions": [["x"]]}],
+    }
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValidationError, match=f"j_max must be an integer, got {j_max!r}"):
+        load_game(path)
+    assert main(["simulate", "--game", str(path), "--k", "1"]) == 2
+    assert "j_max must be an integer" in capsys.readouterr().err
 
 def test_malformed_game_rejected():
     with pytest.raises(ValidationError):
