@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, _integer, _require,
-                    _require_size, curvature, make_welfare_rule)
+from .model import (TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, _integer, _real,
+                    _require, _require_size, curvature, make_welfare_rule)
 from .designs import pareto_setcov_values
 
 E = math.e
@@ -306,11 +306,13 @@ def theory_bounds(c: float, k, design: str) -> float:
 
     design="optimal": 1 - c/2 for any finite k, 1 - c/e in the limit.
     design="common_interest": 1/(1+c) for every k.
-    design="asymptotic_one_round": 1 + (c-3)c / ((2-c)e + c), an upper bound
-    on the one-round guarantee of the limit-optimal design, which lies below
-    it at every c > 0.
+    design="asymptotic_one_round": 1 + (c-3)c / ((2-c)e + c), the one-round
+    guarantee of the limit-optimal design when at most two players share a
+    resource (``one_round_bound`` at y_max = 2).  It is an upper bound on the
+    general guarantee, which lies below it at every c > 0 (the bound at
+    y_max = 3 is already lower).
     """
-    if not 0.0 <= c <= 1.0:
+    if not (_real(c) and 0.0 <= c <= 1.0):
         raise ValidationError("curvature must lie in [0, 1]")
     rounds = _norm_rounds(k)
     if design == "optimal":

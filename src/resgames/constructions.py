@@ -19,6 +19,9 @@ from .model import (
     UtilityRule,
     ValidationError,
     WelfareRule,
+    _integer,
+    _real,
+    _require_size,
     make_welfare_rule,
     welfare,
 )
@@ -42,7 +45,7 @@ def build_greedy_trap(eps: float, f_values: Sequence[float] | None = None) -> Co
     Agent 0 chooses among r1 and r2, agent 1 among r2 and r3; myopic play
     grabs the shared middle resource first and strands agent 0 there.
     """
-    if not 0.0 < eps < 1.0:
+    if not (_real(eps) and 0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     w = make_welfare_rule("set_covering", 2)
     f = UtilityRule(tuple(f_values), None) if f_values is not None else design_common_interest(w)
@@ -116,7 +119,7 @@ def build_common_interest_chain(n: int, c: float) -> Construction:
     c >= 1/2; below that the optimum is larger, so ``measured_ratio`` gives
     walk/reference there, not efficiency.
     """
-    if n < 2:
+    if not (_integer(n) and n >= 2):
         raise ValidationError("need at least two agents")
     w = make_welfare_rule("bent", 2, b=1, curvature=c)
     f = design_common_interest(w)
@@ -151,7 +154,7 @@ def build_stack_or_spread(n: int, f: UtilityRule) -> Construction:
     Ties let a one-round walk stack everyone on the base; the reference
     optimum stacks only the agent with the smallest private resource.
     """
-    if n < 1:
+    if not (_integer(n) and n >= 1):
         raise ValidationError("need at least one agent")
     spread = [max(f.eval(i), 0.0) for i in range(1, n + 1)]
     w = make_welfare_rule("set_covering", n)
@@ -185,6 +188,7 @@ def build_poa_witness(sol: LPSolution, n2: int) -> Construction:
     if sol.status != "optimal":
         raise ValidationError("need an optimal LP solution")
     inst = sol.instance
+    _require_size(n2, "n2")
     if n2 <= inst.n:
         raise ValidationError("n2 must exceed the LP's agent count")
     active = [

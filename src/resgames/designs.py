@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -22,6 +21,7 @@ from .model import (
     WelfareRule,
     _check_utility_values,
     _integer,
+    _real,
     _require_size,
     curvature,
     make_utility_rule,
@@ -86,7 +86,7 @@ def design_one_round(c: float, j_max: int = 8) -> UtilityRule:
 
     f(1) = 1 and f(j) = (2 - 2c)/(2 - c) for j >= 2, extended constantly.
     """
-    if not 0.0 <= c <= 1.0:
+    if not (_real(c) and 0.0 <= c <= 1.0):
         raise ValidationError("curvature must lie in [0, 1]")
     _require_size(j_max, "j_max")
     f2 = (2.0 - 2.0 * c) / (2.0 - c)
@@ -109,7 +109,7 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
     """
     if not (_integer(b) and b >= 1):
         raise ValidationError("b must be an integer >= 1")
-    if not 0.0 <= c <= 1.0:
+    if not (_real(c) and 0.0 <= c <= 1.0):
         raise ValidationError("curvature must lie in [0, 1]")
     if b > 1 and c != 1.0:
         raise ValidationError("only bend 1 (any curvature) or curvature 1 (any bend) is supported")
@@ -160,10 +160,10 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
         raise ValidationError("give exactly one of chi or q")
     _require_size(j_max, "j_max")
     if chi is None:
-        if not 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP:
+        if not (_real(q) and 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP):
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")
         chi = (1.0 - q) / q
-    elif not CHI_MIN - _SNAP <= float(chi) <= 1.0 + _SNAP:
+    elif not (_real(chi) and CHI_MIN - _SNAP <= chi <= 1.0 + _SNAP):
         raise ValidationError(f"chi must lie in [1/(e-1), 1] ~ [{CHI_MIN:.6f}, 1]")
     chi = float(chi)
     delta = 1.0 - chi * E_MINUS_1
@@ -210,7 +210,7 @@ class DesignSpec:
             raise ValidationError(f"unknown design family {self.family!r}")
         for name in ("c", "chi", "q"):
             x = getattr(self, name)
-            if not (x is None or isinstance(x, Real) and not isinstance(x, bool)):
+            if not (x is None or _real(x)):
                 raise ValidationError(f"design {name} must be a real number or null")
         if self.family != "pareto" and (self.chi is not None or self.q is not None):
             raise ValidationError(f"design {self.family} reads neither chi nor q")
@@ -249,8 +249,7 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
         f = design_asymptotic(spec.b, c, j_max)
     else:
         f = design_pareto_setcov(spec.chi, spec.q, j_max)
-    scale = w.values[0]
-    return f if scale == 1.0 else f.scaled(scale)
+    return f.scaled(w.values[0])
 
 
 def apply_design(g: Game, spec: DesignSpec | str) -> Game:

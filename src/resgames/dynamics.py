@@ -29,12 +29,12 @@ _GATHER = 1 << 16  # most (step, resource) terms one walk block holds
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact enumeration would exceed the configured budget."""
+    """Exact enumeration would exceed the optimum's fixed budget, ``_BUDGET``."""
 
     def __init__(self, needed: int, budget: int):
         super().__init__(
             f"exact optimum may need {needed} joint evaluations, budget is {budget}; "
-            "reduce the instance or raise the budget"
+            "reduce the instance"
         )
         self.needed = needed
         self.budget = budget
@@ -187,7 +187,7 @@ def _walk(g: Game, schedule: tuple[int, ...], acts: Sequence[int]) -> Trajectory
     prun = array("d", [row[0] for row in crows])
     wblock, pblock = np.empty((rows, n_res)), np.empty((rows, n_res))
     wflat, pflat = memoryview(wblock.reshape(-1)), memoryview(pblock.reshape(-1))
-    wel, pot = [], []
+    wel, pot, last = [], [], len(acts) - 1
     for t, (i, a) in enumerate(zip(schedule, acts)):
         res = g.action_resources[i]
         for r in res[joint[i]]:
@@ -200,46 +200,38 @@ def _walk(g: Game, schedule: tuple[int, ...], acts: Sequence[int]) -> Trajectory
         row = t % rows
         wflat[row * n_res:(row + 1) * n_res] = wrun
         pflat[row * n_res:(row + 1) * n_res] = prun
-        if row == rows - 1:
-            wel += wblock.sum(axis=1).tolist()
-            pot += pblock.sum(axis=1).tolist()
-    if (left := len(acts) - len(wel)):
-        wel += wblock[:left].sum(axis=1).tolist()
-        pot += pblock[:left].sum(axis=1).tolist()
+        if row == rows - 1 or t == last:
+            wel += wblock[:row + 1].sum(axis=1).tolist()
+            pot += pblock[:row + 1].sum(axis=1).tolist()
     steps = list(map(Step, schedule, acts, wel, pot))
-    last = dict(zip(schedule, steps))  # each player's last recorded step
-    steps += map(last.__getitem__, schedule[len(steps):])
+    latest = dict(zip(schedule, steps))  # each player's last recorded step
+    steps += map(latest.__getitem__, schedule[len(steps):])
     return Trajectory(g.null_action, tuple(steps), tuple(joint))
-
-
-_INT16_LIMIT = 2**15  # the search mirror holds counts and action indices as int16 below this
 
 
 class _AdversarialSearch:
     """Depth-first minimization of final welfare over all best-response ties,
     with states that provably cannot lower the minimum pruned.
 
-    The state at step t is the actions of the players that still move and
-    the counts of the resources that some step >= t can touch, taken with
-    the mover lifted to its empty action.  Every other resource has its
-    welfare finalized and is left out of the memo key, so the reachable-state
-    blowup from long tie chains stays bounded by what the still-active
-    resources distinguish.  ``_ties`` reads the lifted counts, and the move
-    overwrites the mover's action, so every state that lifts to one key has
-    the same ties and the same children.  One int16 mirror ``S`` (int32 when a
-    count or an action index may not fit) holds the players' actions in
-    ``[0, n)``, ordered by last step, latest last, and the resources' counts
-    in ``[n, n + R)``, latest first.  The players that still move then end
-    the first part and the active resources start the second, so the state
+    The state at step t is the actions of the players that still move and the
+    counts of the resources that some step >= t can touch, taken with the
+    mover lifted to its empty action.  Every other resource has its welfare
+    finalized and is left out of the memo key, so the reachable-state blowup
+    from long tie chains stays bounded by what the still-active resources
+    distinguish.  ``_ties`` reads the lifted counts, and the move overwrites
+    the mover's action, so every state that lifts to one key has the same ties
+    and the same children.  One int32 mirror ``S`` holds the players' actions
+    in ``[0, n)``, ordered by last step, latest last, and the resources'
+    counts in ``[n, n + R)``, latest first.  The players that still move then
+    end the first part and the active resources start the second, so the state
     at t is one slice ``S[lo[t]:hi[t]]``.  Within it, a player that has not
-    moved before t is at its empty action, and a resource that no player
-    who moved before t can select is at count 0, in every state at step t.
-    The key drops the players past ``pe[t]``, one past the last slot of a
-    player that moved before t, and the resources before ``qs[t]``, the
-    first slot of a resource such a player can select: it is the bytes of
-    ``S[lo[t]:pe[t]]`` and ``S[qs[t]:hi[t]]`` joined.  Each step has its own
-    memo dict and fixed part lengths, so two states share a key exactly when
-    they share the slice.
+    moved before t is at its empty action, and a resource that no player who
+    moved before t can select is at count 0, in every state at step t.  The
+    key drops the players past ``pe[t]``, one past the last slot of a player
+    that moved before t, and the resources before ``qs[t]``, the first slot of
+    a resource such a player can select: it is the bytes of ``S[lo[t]:pe[t]]``
+    and ``S[qs[t]:hi[t]]`` joined.  Each step has its own memo dict and fixed
+    part lengths, so two states share a key exactly when they share the slice.
 
     The bound is Rosenthal's exact potential Phi = sum_r v_r * F_r(c_r), F_r
     the cumulative utility, which ``_set`` keeps in ``phi``.  A move changes
@@ -319,8 +311,6 @@ class _AdversarialSearch:
         self.moves = [
             [tuple([(r, res_slot[r], urows[r]) for r in res]) for res in acts] for acts in g.action_resources
         ]
-        widest = max(n + 1, max(map(len, g.actions)))
-        self.dtype = np.int16 if widest < _INT16_LIMIT else np.int32
         self.memo: list[dict[bytes, tuple[float, tuple | None]]] = [{} for _ in range(n_steps)]
         self.explored = self.pruned = 0
         # the null allocation, where every search starts and ends
@@ -328,7 +318,7 @@ class _AdversarialSearch:
         self.counts = [0] * g.n_resources
         self.phi = 0.0
         # a memoryview: item updates and slice bytes cost less than on the array
-        self.S = memoryview(np.array([self.joint[i] for i in players] + self.counts, dtype=self.dtype))
+        self.S = memoryview(np.array([self.joint[i] for i in players] + self.counts, dtype=np.int32))
 
         W, U, F = g.welfare_tables, g.utility_tables, g.cumulative_utility_tables
         cols = np.arange(W.shape[1])
@@ -591,11 +581,12 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
         seen.add(state)
 
 
+_BUDGET = 10**8  # most joint profiles the exact optimum may search
 _BLOCK = 32  # most joint profiles of the last players under one bound
 _BATCH = 1 << 14  # most profiles, or bound terms, one numpy pass handles
 
 
-def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
+def optimum(g: Game) -> tuple[JointAction, float]:
     """Exact welfare maximizer: brute force over the joint action space, with
     blocks that provably hold no maximizer skipped.
 
@@ -607,13 +598,13 @@ def optimum(g: Game, *, budget: int = 10**8) -> tuple[JointAction, float]:
     welfare bound (the partial welfare plus each remaining player's largest
     possible gain) stays below a welfare already attained, at first that of
     the common-interest game's :func:`_incumbent_walk`, which is not
-    recorded.  ``budget`` caps the worst-case work, the size of the joint
-    action space.
+    recorded.  A joint action space of more than ``_BUDGET`` profiles, the
+    worst-case work, raises :class:`BudgetExceededError`.
     """
     sizes = [len(acts) for acts in g.actions]
     total = math.prod(sizes)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    if total > _BUDGET:
+        raise BudgetExceededError(total, _BUDGET)
     n, n_res = g.n_players, g.n_resources
     onehot = []
     for acts in g.action_resources:

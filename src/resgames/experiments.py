@@ -10,7 +10,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .designs import DesignSpec, apply_design, design_common_interest
 from .dynamics import k_round_walk, optimum
-from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, _integer, make_welfare_rule
+from .model import Game, Resource, UtilityRule, ValidationError, WelfareRule, _integer, _real, make_welfare_rule
 
 
 class Row(NamedTuple):
@@ -69,7 +68,7 @@ class ExperimentConfig:
             raise ValidationError("master_seed must lie in [-2**63, 2**63)")
         if self.action_width > self.n_targets:
             raise ValidationError("action_width cannot exceed n_targets")
-        if isinstance(self.p_hit, bool) or not (isinstance(self.p_hit, Real) and 0.0 < self.p_hit <= 1.0):
+        if not (_real(self.p_hit) and 0.0 < self.p_hit <= 1.0):
             raise ValidationError("p_hit must lie in (0, 1]")
         object.__setattr__(self, "designs", tuple(self.designs))
         if not self.designs:

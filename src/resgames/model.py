@@ -35,6 +35,11 @@ def _integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def _real(x) -> bool:
+    """A real number, but not a bool, which ``Real`` admits."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def _require_size(x, name: str, least: int = 1) -> None:
     """Refuses a size ``x`` that is not an integer (a bool included) or is below ``least``."""
     _require(_integer(x), f"{name} must be an integer, got {x!r}")
@@ -183,7 +188,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
     """
     _require_size(j_max, "j_max")
     if family == "bent":
-        _require(isinstance(curvature, Real) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
+        _require(_real(curvature) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
         _require(_integer(b) and b >= 1, "bent rule needs integer b >= 1")
         b = int(b)
         _require(j_max >= b, "bent rule needs j_max >= b so the constant tail is exact")
@@ -193,7 +198,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
     if family == "set_covering":
         return WelfareRule((1.0,) * j_max, 0.0, "set_covering")
     if family == "wta":
-        _require(isinstance(p, Real) and 0.0 < p <= 1.0, "wta rule needs hit probability p in (0, 1]")
+        _require(_real(p) and 0.0 < p <= 1.0, "wta rule needs hit probability p in (0, 1]")
         q = 1.0 - float(p)
         vals = tuple(1.0 - q**j for j in range(1, j_max + 1))
         return WelfareRule(vals, float(p) * q**j_max, "wta")

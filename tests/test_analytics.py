@@ -157,6 +157,18 @@ def test_one_round_bound_asymptotic_design_below_tradeoff_bound():
         assert val <= theory_bounds(c, "one", "asymptotic_one_round") + 1e-9
 
 
+@pytest.mark.parametrize("c, at_three", [
+    (0.05, 0.97197), (0.25, 0.85864), (0.5, 0.71347), (0.75, 0.56237), (1.0, 0.40131)])
+def test_asymptotic_one_round_is_the_two_agent_guarantee(c, at_three):
+    # the formula is the bound at y_max = 2, where at most two players share a
+    # resource; at y_max = 3 the bound is already lower
+    w = make_welfare_rule("bent", 8, b=1, curvature=c)
+    f = design_asymptotic(1, c, 8)
+    formula = theory_bounds(c, "one", "asymptotic_one_round")
+    assert abs(one_round_bound(w, f, 2).value - formula) <= 2 * math.ulp(formula)
+    assert one_round_bound(w, f, 3).value == pytest.approx(at_three, abs=5e-6)
+    assert at_three < formula
+
 
 def test_theory_bounds_match_the_computed_guarantees():
     # asymptotic_one_round is only an upper bound (the test above); these are equalities

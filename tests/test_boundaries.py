@@ -9,12 +9,15 @@ from resgames import (
     ValidationError,
     adversarial_min_welfare,
     build_common_interest_chain,
+    build_greedy_trap,
     build_poa_lp,
     build_poa_witness,
+    build_stack_or_spread,
     build_two_agent_worst_case,
     design_asymptotic,
     design_common_interest,
     design_one_round,
+    design_pareto_setcov,
     frontier_setcov,
     gen_wta,
     k_round_walk,
@@ -74,13 +77,29 @@ def _no_active_variables():
     # an empty design list is refused, not replaced by the defaults
     (lambda: ExperimentConfig(designs=()), "at least one design"),
     (lambda: ExperimentConfig.from_dict({"designs": []}), "at least one design"),
+    # a bool once passed for a real number, and a string raised a bare TypeError
+    (lambda: make_welfare_rule("wta", 3, p=True), "wta rule needs hit probability p in (0, 1]"),
+    (lambda: make_welfare_rule("bent", 3, curvature=True), "bent rule needs curvature in [0, 1]"),
+    (lambda: design_one_round(False), "curvature must lie in [0, 1]"),
+    (lambda: design_one_round("0.5"), "curvature must lie in [0, 1]"),
+    (lambda: design_asymptotic(1, True, 8), "curvature must lie in [0, 1]"),
+    (lambda: design_asymptotic(1, "0.5", 8), "curvature must lie in [0, 1]"),
+    (lambda: theory_bounds(True, 1, "optimal"), "curvature must lie in [0, 1]"),
+    (lambda: theory_bounds("0.5", 1, "optimal"), "curvature must lie in [0, 1]"),
+    (lambda: design_pareto_setcov(chi=True), "chi must lie in [1/(e-1), 1]"),
+    (lambda: design_pareto_setcov(chi="0.6"), "chi must lie in [1/(e-1), 1]"),
+    (lambda: pareto_setcov_values(q="0.6"), "q must lie in [1/2, 1 - 1/e]"),
+    (lambda: build_greedy_trap("0.5"), "eps must lie in (0, 1)"),
 ], ids=["one_round_bound-y_max", "one_round_setcov-j_trunc", "closed_form-setcov-n",
         "closed_form-bent-rising_f", "closed_form-family", "poa_lp-n", "theory_bounds-rounds",
         "theory_bounds-design", "design_one_round-c", "design_one_round-j_max", "design_asymptotic-b",
         "design_asymptotic-c", "design_asymptotic-j_max", "welfare-family", "welfare-wta_p_str", "chain-n",
         "chain-c", "two_agent-c", "two_agent-c_none", "two_agent-c_str", "witness-unbounded", "witness-n2",
         "witness-no_active", "poa_lp-unbounded", "config-seed", "config-seed_above", "config-seed_below",
-        "config-seed_alias", "config-p_hit", "config-no_designs", "config-no_designs_in_file"])
+        "config-seed_alias", "config-p_hit", "config-no_designs", "config-no_designs_in_file",
+        "welfare-wta_p_bool", "welfare-bent_c_bool", "design_one_round-c_bool", "design_one_round-c_str",
+        "design_asymptotic-c_bool", "design_asymptotic-c_str", "theory_bounds-c_bool", "theory_bounds-c_str",
+        "pareto-chi_bool", "pareto-chi_str", "pareto-q_str", "greedy_trap-eps_str"])
 def test_bad_input_fails_at_its_one_check(call, fragment):
     with pytest.raises(ValidationError) as exc:
         call()
@@ -122,13 +141,17 @@ CI_SETCOV = design_common_interest(SETCOV)
     (lambda: frontier_setcov(0.6, 2.5), "j_max must be an integer, got 2.5"),
     (lambda: theory_bounds(0.5, True, "optimal"), "cannot interpret round count True"),
     (lambda: theory_bounds(0.5, 1.0, "optimal"), "cannot interpret round count 1.0"),
+    (lambda: build_common_interest_chain(3.0, 0.5), "need at least two agents"),
+    (lambda: build_stack_or_spread(2.0, CI_SETCOV), "need at least one agent"),
+    (lambda: build_poa_witness(solve_poa_lp(BENT, design_one_round(0.5), 3), 40.0), "n2 must be an integer, got 40.0"),
 ], ids=["welfare-j_max_float", "welfare-j_max_bool", "k_round_walk-k_bool", "adversarial-k_bool",
         "one_round_bound-y_max_bool", "one_round_bound-y_max_float", "closed_form-setcov-n_bool",
         "closed_form-setcov-n_float", "closed_form-bent-j_max_bool", "closed_form-bent-j_max_float",
         "build_poa_lp-n_float", "solve_poa_lp-n_bool", "poa_lp-n_bool", "one_round_setcov-j_trunc_bool",
         "one_round_setcov-j_trunc_float", "design_one_round-j_max_bool", "design_one_round-j_max_float",
         "design_asymptotic-j_max_float", "pareto-j_max_bool", "pareto-j_max_float", "frontier-j_trunc_float",
-        "theory_bounds-rounds_bool", "theory_bounds-rounds_float"])
+        "theory_bounds-rounds_bool", "theory_bounds-rounds_float", "chain-n_float", "stack_or_spread-n_float",
+        "witness-n2_float"])
 def test_size_arguments_are_integers(call, fragment):
     # booleans and floats once ran as sizes, or raised a bare TypeError
     with pytest.raises(ValidationError) as exc:

@@ -141,10 +141,16 @@ def test_optimum_stacking_single_resource():
     assert val == 1.0
 
 
-def test_optimum_budget():
+def test_optimum_budget(monkeypatch):
     g = random_game(np.random.default_rng(0))
-    with pytest.raises(BudgetExceededError):
-        optimum(g, budget=1)
+    total = math.prod(len(acts) for acts in g.actions)
+    monkeypatch.setattr(dynamics, "_BUDGET", total - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        optimum(g)
+    assert (err.value.needed, err.value.budget) == (total, total - 1)
+    assert str(err.value).endswith(f"budget is {total - 1}; reduce the instance")
+    monkeypatch.setattr(dynamics, "_BUDGET", total)
+    optimum(g)  # a joint action space of exactly the budget is searched
 
 
 def test_efficiency_examples(trap_ci):
@@ -628,14 +634,17 @@ def test_adversarial_chain_search_is_pinned(n, c, k, visited, memoised, value, a
     assert traj.final == final
 
 
-def test_adversarial_search_int32_mirrors_match_int16(monkeypatch):
-    narrow = _chain_search(30, 0.5, 2)
-    monkeypatch.setattr(dynamics, "_INT16_LIMIT", 2)
-    g = build_common_interest_chain(30, 0.5).game
-    assert dynamics._AdversarialSearch(g, (0,), 1).dtype == np.int32
-    wide = _chain_search(30, 0.5, 2)
-    assert wide[0].hex() == narrow[0].hex()
-    assert wide[1:] == narrow[1:]
+def test_adversarial_search_counts_past_int16():
+    # 2**15 + 1 players on one set-covering resource under common interest:
+    # the empty action is listed last, so every tied player joins and the
+    # first walk's count reaches 2**15 + 1; the potential bound prunes the rest
+    n = 2**15 + 1
+    w = make_welfare_rule("set_covering", 1)
+    g = Game((Resource("a", w, design_common_interest(w)),), ((frozenset({"a"}), frozenset()),) * n)
+    val, traj = adversarial_min_welfare(g)
+    assert val == 1.0
+    assert len(traj.steps) == n and traj.final == (0,) * n
+    assert [s.welfare for s in traj.steps] == [1.0] * n
 
 
 def test_adversarial_values_are_python_floats():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 
 import resgames
@@ -27,3 +29,43 @@ def test_public_names_are_pinned():
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == EXPORTS
     assert len(EXPORTS) == 70
+
+
+# The public settable options, counted as ROADMAP.md counts them: the defaulted
+# parameters of exported functions and public methods, plus the defaulted
+# fields of exported dataclasses.  A change that adds or drops an option edits
+# this list, and the option count in ROADMAP.md with it.
+OPTIONS = [
+    "DesignSpec.b", "DesignSpec.c", "DesignSpec.chi", "DesignSpec.label", "DesignSpec.q",
+    "ExperimentConfig.action_width", "ExperimentConfig.actions_per_agent", "ExperimentConfig.designs",
+    "ExperimentConfig.master_seed", "ExperimentConfig.n_agents", "ExperimentConfig.n_instances",
+    "ExperimentConfig.n_targets", "ExperimentConfig.p_hit", "ExperimentConfig.rounds", "Resource.value",
+    "UtilityRule.tail_value", "WelfareRule.label", "adversarial_min_welfare(cap)", "adversarial_min_welfare(k)",
+    "adversarial_min_welfare(schedule)", "build_greedy_trap(f_values)", "design_one_round(j_max)",
+    "design_pareto_setcov(chi)", "design_pareto_setcov(j_max)", "design_pareto_setcov(q)", "efficiency(tie_break)",
+    "k_round_walk(schedule)", "make_utility_rule(tail_value)", "make_welfare_rule(b)",
+    "make_welfare_rule(curvature)", "make_welfare_rule(p)", "measured_ratio(k)", "one_round_bound(y_max)",
+    "poa_closed_form(j_max)", "poa_closed_form(n)", "reachable_nash_min(cap)",
+]
+
+
+def _defaulted(name: str, fn) -> list[str]:
+    return [f"{name}({p.name})" for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+
+
+def test_public_options_are_pinned():
+    options = []
+    for name in EXPORTS:
+        value = getattr(resgames, name)
+        if inspect.isfunction(value):
+            options += _defaulted(name, value)
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                member = getattr(member, "__func__", member)  # a static or class method
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    options += _defaulted(f"{name}.{attr}", member)
+            if dataclasses.is_dataclass(value):
+                options += [f"{name}.{f.name}" for f in dataclasses.fields(value)
+                            if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING]
+    assert sorted(options) == OPTIONS
+    assert len(OPTIONS) == 36
