@@ -19,6 +19,7 @@ from .designs import pareto_setcov_values
 
 E = math.e
 _GRID = 1 << 16  # most (row, column) entries a closed form scores at once, as dynamics' _GATHER
+_COLUMNS = 10**7  # most columns the price-of-anarchy LP may build, n <= 389
 
 
 class BoundResult(NamedTuple):
@@ -192,15 +193,39 @@ class LPSolution:
     instance: LPInstance
 
 
-def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
-    """The n-agent price-of-anarchy LP of the welfare rule w under the utility rule f."""
+def _lp_columns(n: int) -> int:
+    """The number of columns of the n-agent LP, C(n+3, 3) - 1; more than
+    ``_COLUMNS`` of them raises :class:`ValidationError`."""
     _require_size(n, "n")
+    columns = (n + 1) * (n + 2) * (n + 3) // 6 - 1
+    _require(columns <= _COLUMNS,
+             f"the {n}-agent LP has {columns} columns, more than the {_COLUMNS} it may build")
+    return columns
+
+
+def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
+    """The n-agent price-of-anarchy LP of the welfare rule w under the utility rule f.
+
+    The columns are enumerated directly, in O(columns) time and memory: each
+    pair (a, x) with a + x <= n, in order, repeated over its b range, which
+    starts at 1 when a + x = 0.  An LP of more than ``_COLUMNS`` columns
+    (n >= 390) raises :class:`ValidationError` before anything is allocated.
+    """
+    columns = _lp_columns(n)
     wt = w.table(n)
     ft = f.table(n + 1)
-    a, x, b = np.indices((n + 1,) * 3).reshape(3, -1)  # ordered by a, then x, then b
-    keep = (a + x + b >= 1) & (a + x + b <= n)
-    a, x, b = a[keep], x[keep], b[keep]
-    return LPInstance(n, a, x, b, wt[b + x], a * ft[a + x] - b * ft[a + x + 1], wt[a + x], w, f)
+    xs = np.arange(n + 1, 0, -1)  # how many x each a takes
+    a = np.repeat(np.arange(n + 1), xs)
+    s = a + np.arange(len(a)) - np.repeat(np.cumsum(xs) - xs, xs)  # a + x of each pair
+    bs = n + 1 - s  # how many b each pair takes, from b = 1 when a + x = 0
+    bs[0] = n
+    b = np.arange(columns) - np.repeat(np.cumsum(bs) - bs - (s == 0), bs)
+    a, s = np.repeat(a, bs), np.repeat(s, bs)
+    x = s - a
+    nash = ft[s]
+    nash *= a
+    nash -= b * ft[1:][s]  # a f(a+x) - b f(a+x+1)
+    return LPInstance(n, a, x, b, wt[b + x], nash, wt[s], w, f)
 
 
 def _optimal_pair(c: np.ndarray, h: np.ndarray, d: np.ndarray, m: int, lam: float) -> tuple[int, int]:

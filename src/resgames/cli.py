@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import io
 from .analytics import (
+    _lp_columns,
     frontier_setcov,
     one_round_bound,
     one_round_setcov,
@@ -168,6 +169,7 @@ def _cmd_analyze(args):
             res = one_round_bound(w, f, args.jmax)
             lines.append(f"{args.jmax},{res.value!r},{res.truncated}")
     elif args.route == "lp":
+        _lp_columns(args.N)  # refuse an LP past the ceiling before tabulating rules to its size
         lines.append(f"{args.N},{poa_lp(*_rules(args, args.N + 2), args.N)!r},False")
     _emit(lines, args.out)
     return 0
@@ -196,6 +198,7 @@ def _cmd_construct(args):
         f = resolve_design(_spec(args), w, max(args.n, 2))
         con = build_stack_or_spread(args.n, f)
     elif args.kind == "poa_witness":
+        _lp_columns(args.N1)
         w, f = _rules(args, args.N1 + 2)
         sol = solve_poa_lp(w, f, args.N1)
         con = build_poa_witness(sol, args.N2)

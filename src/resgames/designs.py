@@ -35,6 +35,8 @@ E_MINUS_1 = E - 1.0
 CHI_MIN = 1.0 / E_MINUS_1
 
 _SNAP = 1e-12
+_TAIL_TERMS = 32  # most terms of a tail series computed at once
+_TAIL_ENTRIES = 1 << 16  # most (term, j) entries of a tail series computed at once, as analytics' _GRID
 
 
 def _e_pow(n: int) -> float:
@@ -46,25 +48,45 @@ def _e_pow(n: int) -> float:
 
 
 def _decay_tail(j: np.ndarray, b: float, coef: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """sum_{m>=1} coef(j-1+m) * prod_{i=1..m} b/(j-1+i), elementwise over j.
+    """sum_{m>=1} coef(j-1+m) * prod_{i=1..m} b/(j-1+i), elementwise over the integers j.
 
     All factors are <= b/j, so the partial products shrink monotonically once
-    the index passes b and the series converges absolutely.
+    the index passes b and the series converges absolutely.  The sum stops at
+    the first term m > 4 whose every entry is below 1e-18 in magnitude, and
+    raises once term 5001 has not stopped it.
+
+    Terms are computed in blocks of at most ``_TAIL_TERMS`` terms and
+    ``_TAIL_ENTRIES`` entries (one term when j is longer), each a (term, j)
+    matrix: the running products by ``np.multiply.accumulate`` and the sum by
+    ``np.add.accumulate`` down its rows, so every product and partial sum is
+    the one a term-at-a-time loop forms, in the same order.  ``coef`` must
+    return a new array.
     """
-    j = np.asarray(j, dtype=np.float64)
-    total = np.zeros_like(j)
-    prod = np.ones_like(j)
-    m = 0
+    base = np.asarray(j, dtype=np.float64) - 1.0
+    del j  # a temporary j is freed here, not kept through the sum
+    rows = max(1, min(_TAIL_TERMS, _TAIL_ENTRIES // len(base)))
+    steps = np.arange(1, rows + 1, dtype=np.float64)[:, None]
+    total = np.zeros_like(base)
+    prod = np.ones_like(base)
+    m = 0  # the terms summed so far
     while True:
-        m += 1
-        t = j - 1.0 + m
-        prod = prod * (b / t)
-        term = coef(t) * prod
-        total += term
-        if m > 4 and float(np.abs(term).max()) < 1e-18:
-            return total
-        if m > 5000:
-            raise RuntimeError("tail series failed to converge")
+        t = base + (m + steps)  # j - 1 + m of each term, exact on integers
+        term = coef(t)
+        fac = np.divide(b, t, out=t)
+        fac[0] *= prod
+        np.multiply.accumulate(fac, axis=0, out=fac)
+        prod = fac[-1]
+        term *= fac
+        peaks = np.maximum(term.max(axis=1), -term.min(axis=1)).tolist()
+        term[0] += total
+        np.add.accumulate(term, axis=0, out=term)
+        total = term[-1]
+        for i, peak in enumerate(peaks):
+            m += 1
+            if m > 4 and peak < 1e-18:
+                return term[i].copy()
+            if m > 5000:
+                raise RuntimeError("tail series failed to converge")
 
 
 @lru_cache(maxsize=4)

@@ -230,8 +230,9 @@ class _AdversarialSearch:
     key drops the players past ``pe[t]``, one past the last slot of a player
     that moved before t, and the resources before ``qs[t]``, the first slot of
     a resource such a player can select: it is the bytes of ``S[lo[t]:pe[t]]``
-    and ``S[qs[t]:hi[t]]`` joined.  Each step has its own memo dict and fixed
-    part lengths, so two states share a key exactly when they share the slice.
+    and ``S[qs[t]:hi[t]]`` joined, or ``S[lo[t]:hi[t]]`` when the two parts
+    meet.  Each step has its own memo dict and fixed part lengths, so two
+    states share a key exactly when they share the slice.
 
     The bound is Rosenthal's exact potential Phi = sum_r v_r * F_r(c_r), F_r
     the cumulative utility, which ``_set`` keeps in ``phi``.  A move changes
@@ -300,6 +301,9 @@ class _AdversarialSearch:
         self.lo, self.hi = lo.tolist(), hi.tolist()
         self.pe = np.maximum(lo, np.maximum.accumulate(top[:-1]) + 1).tolist()
         self.qs = np.minimum(hi, np.minimum.accumulate(bottom[:-1])).tolist()
+        # where the parts meet (pe[t] = qs[t] = n, every step after a chain's
+        # first round) the key is the one slice S[lo[t]:hi[t]]
+        self.joined = [p == q for p, q in zip(self.pe, self.qs)]
         res_order, n_active = res_order.tolist(), n_active.tolist()
         wrows, crows = g._welfare_rows, g._cumulative_rows
         self.finalized_after = [  # (welfare row, potential row, resource) of those step t's move finalizes
@@ -389,7 +393,7 @@ class _AdversarialSearch:
         ``self.walk``."""
         g, sched, counts, null = self.g, self.schedule, self.counts, self.g.null_action
         joint, memo, fin_after, gain = self.joint, self.memo, self.finalized_after, self.gain
-        S, lo, pe, qs, hi = self.S, self.lo, self.pe, self.qs, self.hi
+        S, lo, pe, qs, hi, joined = self.S, self.lo, self.pe, self.qs, self.hi, self.joined
         alpha, eps, half, inf = self.alpha, self.eps, self.eps / 2, math.inf
         set_ = self._set
         stack, t, acc, fin, upper = [], 0, 0.0, 0.0, inf  # upper: the least finished walk
@@ -408,7 +412,10 @@ class _AdversarialSearch:
                     old, phi = joint[i], self.phi
                     if old != null[i]:
                         set_(i, null[i])
-                    key = S[lo[t]:pe[t]].tobytes() + S[qs[t]:hi[t]].tobytes()
+                    if joined[t]:
+                        key = S[lo[t]:hi[t]].tobytes()
+                    else:
+                        key = S[lo[t]:pe[t]].tobytes() + S[qs[t]:hi[t]].tobytes()
                     if (hit := memo[t].get(key)) is None:
                         self.explored += 1
                         if self.explored > self.cap:

@@ -17,6 +17,7 @@ import numpy as np
 
 #: Absolute tolerance for rule invariants and for utility ties.
 TOL = 1e-9
+_COMPARE = 1 << 13  # most entries a monotonicity check compares at once: 64 KB of float64
 
 JointAction = tuple[int, ...]
 
@@ -157,7 +158,14 @@ def _check_first_values(w: WelfareRule, f: UtilityRule, owner: str) -> None:
 
 
 def _nonincreasing(f: np.ndarray, tail: float) -> bool:
-    return bool((f[1:] <= f[:-1] + TOL).all() and tail <= f[-1] + TOL)
+    """Whether f(j+1) <= f(j) + TOL at every j and the tail <= f(j_max) + TOL,
+    compared in blocks of at most ``_COMPARE`` entries, so a long f costs no
+    temporary of its own length."""
+    for lo in range(0, len(f) - 1, _COMPARE):
+        hi = min(lo + _COMPARE, len(f) - 1)
+        if not (f[lo + 1 : hi + 1] <= f[lo:hi] + TOL).all():
+            return False
+    return bool(tail <= f[-1] + TOL)
 
 
 def _check_utility_values(f: np.ndarray, tail: float, nonincreasing: bool = False) -> None:

@@ -153,7 +153,8 @@ def loop_is_nonincreasing(values: tuple[float, ...], tail_value: float) -> bool:
 
 def loop_poa_lp(w: WelfareRule, f: UtilityRule, n: int):
     """Reference price-of-anarchy LP rows, built one (a, x, b) at a time:
-    (variables, objective, nash_row, norm_row)."""
+    (variables, a, x, b, objective, nash_row, norm_row), the indices as
+    arrays of numpy's default integer."""
     variables = []
     obj, nash, norm = [], [], []
     wt = w.table(n)
@@ -167,7 +168,28 @@ def loop_poa_lp(w: WelfareRule, f: UtilityRule, n: int):
                 obj.append(wt[b + x])
                 nash.append(a * ft[a + x] - b * ft[a + x + 1])
                 norm.append(wt[a + x])
-    return tuple(variables), np.array(obj), np.array(nash), np.array(norm)
+    a, x, b = (np.array(col, dtype=np.int_) for col in zip(*variables))
+    return tuple(variables), a, x, b, np.array(obj), np.array(nash), np.array(norm)
+
+
+def loop_decay_tail(j: np.ndarray, b: float, coef) -> np.ndarray:
+    """Reference tail series sum_{m>=1} coef(j-1+m) * prod_{i=1..m} b/(j-1+i),
+    one term at a time: it stops after the first term m > 4 whose entries are
+    all below 1e-18 in magnitude, and raises after term 5001 otherwise."""
+    j = np.asarray(j, dtype=np.float64)
+    total = np.zeros_like(j)
+    prod = np.ones_like(j)
+    m = 0
+    while True:
+        m += 1
+        t = j - 1.0 + m
+        prod = prod * (b / t)
+        term = coef(t) * prod
+        total += term
+        if m > 4 and float(np.abs(term).max()) < 1e-18:
+            return total
+        if m > 5000:
+            raise RuntimeError("tail series failed to converge")
 
 
 def loop_one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int) -> BoundResult:

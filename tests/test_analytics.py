@@ -339,20 +339,84 @@ def test_theory_bounds_take_numpy_integer_rounds(design):
         theory_bounds(0.5, 2.0, design)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 15), st.sampled_from(["set_covering", "harmonic", "wta"]),
-       st.lists(st.floats(0, 1), min_size=1, max_size=18), st.floats(0, 1))
-def test_poa_lp_arrays_match_the_loop_oracle(n, family, raw, tail_frac):
+@st.composite
+def lp_cases(draw):
+    """(w, f, n): a welfare family on 16 counts, a nonincreasing f, n <= 15."""
+    n = draw(st.integers(1, 15))
+    family = draw(st.sampled_from(["set_covering", "harmonic", "wta"]))
+    vals = sorted(draw(st.lists(st.floats(0, 1), min_size=1, max_size=18)), reverse=True)
     w = make_welfare_rule(family, 16, p=0.4) if family == "wta" else make_welfare_rule(family, 16)
-    vals = sorted(raw, reverse=True)
-    f = UtilityRule(vals, vals[-1] * tail_frac)
+    return w, UtilityRule(vals, vals[-1] * draw(st.floats(0, 1))), n
+
+
+def _with_sweep_lps(test):
+    """``test`` with the benchmark sweep's two LP rules at every n = 1..60 as explicit examples."""
+    wsc = make_welfare_rule("set_covering", 60)
+    for f in (design_common_interest(wsc), design_asymptotic(1, 1.0, 60)):
+        for n in range(1, 61):
+            test = example((wsc, f, n))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp_cases())
+@_with_sweep_lps
+def test_poa_lp_arrays_match_the_loop_oracle(case):
+    w, f, n = case
     inst = build_poa_lp(w, f, n)
-    variables, objective, nash_row, norm_row = loop_poa_lp(w, f, n)
+    variables, *want = loop_poa_lp(w, f, n)
     assert inst.variables == variables
     assert all(type(v) is int for var in inst.variables for v in var)
-    for got, want in ((inst.objective, objective), (inst.nash_row, nash_row), (inst.norm_row, norm_row)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    got = (inst.a, inst.x, inst.b, inst.objective, inst.nash_row, inst.norm_row)
+    for got_row, want_row in zip(got, want, strict=True):
+        assert got_row.dtype == want_row.dtype and got_row.shape == want_row.shape
+        assert got_row.tobytes() == want_row.tobytes()
+
+
+@pytest.mark.parametrize("n", [390, 391, 5000, 10**12])
+def test_poa_lp_refuses_more_columns_than_its_ceiling(n):
+    # n = 389 has 9,962,679 columns and n = 390 has 10,039,315; the refusal
+    # comes before the rule tables, so no n allocates anything
+    w = make_welfare_rule("set_covering", 8)
+    f = design_common_interest(w)
+    columns = (n + 1) * (n + 2) * (n + 3) // 6 - 1
+    for call in (build_poa_lp, solve_poa_lp, poa_lp):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"the {n}-agent LP has {columns} columns, more than "
+                                                      f"the 10000000 it may build"):
+                call(w, f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+def test_poa_lp_build_holds_memory_to_o_of_the_columns():
+    # the (n+1)^3 index cube and its masks took a 2.35 MB traced peak at n = 40
+    wsc = make_welfare_rule("set_covering", 60)
+    f = design_common_interest(wsc)
+    tracemalloc.start()
+    try:
+        inst = build_poa_lp(wsc, f, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.a) == 12_340
+    assert peak < 1_200_000
+
+
+@pytest.mark.parametrize("q", [0.6, 1 - 1 / E])
+def test_frontier_point_holds_one_array_of_its_length(q):
+    # comparing f[1:] with f[:-1] + TOL whole took a 1.70 MB traced peak
+    frontier_setcov(q, 10**5)  # the chi-free tail is summed once per length
+    tracemalloc.start()
+    try:
+        frontier_setcov(q, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 def test_poa_lp_matches_the_highs_oracle_on_the_sweep_rules():

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,27 @@ def test_analyze_lp(capsys):
     assert rc == 0
     line = capsys.readouterr().out.strip().splitlines()[1]
     assert float(line.split(",")[1]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_lp_past_the_column_ceiling_exits_2(tmp_path, capsys):
+    # --N 5000 asked numpy for a 3 TB index cube: a MemoryError and a traceback
+    rc = main(["analyze", "--route", "lp", "--welfare", "setcov", "--N", "5000", "--design", "common_interest"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: the 5000-agent LP has 20858342500 columns")
+    out = tmp_path / "w.json"
+    rc = main(["construct", "--kind", "poa_witness", "--N1", "5000", "--N2", "12",
+               "--design", "common_interest", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: the 5000-agent LP has")
+    assert not out.exists()
+    # the refusal comes before the rules are tabulated to N + 2 entries
+    tracemalloc.start()
+    try:
+        rc = main(["analyze", "--route", "lp", "--welfare", "harmonic", "--N", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and peak < 1_000_000
 
 
 def test_analyze_frontier(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from resgames import (
 from resgames import designs
 from resgames.constructions import build_greedy_trap
 
-from conftest import random_game
+from conftest import loop_decay_tail, random_game
 
 E = math.e
 
@@ -281,6 +282,52 @@ def test_pareto_tail_is_summed_once_per_length_to_the_same_bits(monkeypatch):
     assert f1.values != f2.values
     assert not np.shares_memory(f1._array, f2._array)
     assert not any(np.shares_memory(f._array, tail) for f in (f1, f2))
+
+
+@pytest.mark.parametrize("j_max", [2, 3, 8, 53, 200, 3003])
+def test_blocked_tail_series_match_the_loop_oracle(j_max, monkeypatch):
+    # a 2^16-entry block holds 32 terms up to 2,048 values and 21 at 3,003
+    specs = [(1, float(c)) for c in np.linspace(0.0, 1.0, 101)] + [(b, 1.0) for b in range(2, 6)]
+    fast = [design_asymptotic(b, c, j_max) for b, c in specs]
+    monkeypatch.setattr(designs, "_decay_tail", loop_decay_tail)
+    for (b, c), got in zip(specs, fast):
+        want = design_asymptotic(b, c, j_max)
+        assert got.table(j_max).tobytes() == want.table(j_max).tobytes(), (b, c)
+        assert got.tail_value.hex() == want.tail_value.hex()
+
+
+def test_blocked_unit_tail_matches_the_loop_oracle_and_its_memory():
+    # one term a block at this length; the loop's traced peak was 4.80 MB
+    j_max = 10**5
+    designs._unit_tail.cache_clear()
+    tracemalloc.start()
+    try:
+        tail = designs._unit_tail(j_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    want = loop_decay_tail(np.arange(1, j_max + 1, dtype=np.float64), 1.0, np.ones_like)
+    assert tail.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("last", [3, 4, 5, 31, 32, 33, 5000, 5001, 5002])
+def test_blocked_tail_series_stop_and_give_up_at_the_loops_terms(last):
+    # at j = 10^6 and b = j the running products stay above 1e-18 for 5001
+    # terms, so the series stops at the first term m > 4 from ``last`` on,
+    # or gives up after term 5001
+    j = np.array([1e6, 2e6])
+
+    def coef(t):
+        return np.where(t - (j - 1.0) < last, 1.0, 0.0)
+
+    if last > 5001:
+        for series in (designs._decay_tail, loop_decay_tail):
+            with pytest.raises(RuntimeError, match="tail series failed to converge"):
+                series(j, 1e6, coef)
+    else:
+        got, want = designs._decay_tail(j, 1e6, coef), loop_decay_tail(j, 1e6, coef)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pareto_endpoint_has_one_tolerance():

@@ -701,6 +701,16 @@ def test_narrowed_memo_keys_search_as_the_live_slice(case):
     assert _outputs(narrow) == _outputs(wide)
 
 
+def test_memo_keys_are_one_slice_where_their_parts_meet():
+    # on a chain every player has moved by the end of the first round, so
+    # from step n on both narrowed ends sit at n and the key is S[lo[t]:hi[t]]
+    n, k = 30, 3
+    g = build_common_interest_chain(n, 0.35).game
+    search = dynamics._AdversarialSearch(g, round_robin_schedule(n, k), 100_000)
+    assert search.joined == [p == q for p, q in zip(search.pe, search.qs)]
+    assert all(search.joined[n:]) and not all(search.joined[:n])
+
+
 def test_chain_memo_keys_hold_memory_to_o_of_the_steps():
     # keyed on the live slice, each step's key held every player still to
     # move: 12.0 MB of keys and a 12.9 MB traced peak on this chain

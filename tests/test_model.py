@@ -346,6 +346,23 @@ def test_utility_rule_checks_match_the_loop_oracle(case):
     assert made == got if monotone else made == "ValidationError: utility rule must be nonincreasing"
 
 
+# a rise at either side of the 2^13-entry block edges, in the last pair, or in the tail
+@pytest.mark.parametrize("rise", [None, 0, 8190, 8191, 8192, 8193, 16383, 16384, 20004, "tail"])
+def test_long_rules_check_monotonicity_across_compare_blocks(rise):
+    values = list(np.linspace(1.0, 0.5, 20006))
+    tail = values[-1]
+    if rise == "tail":
+        tail += 2 * TOL
+    elif rise is not None:
+        values[rise + 1] = values[rise] + 2 * TOL
+    want = loop_is_nonincreasing(tuple(values), tail)
+    assert want is (rise is None)
+    assert UtilityRule(values, tail).is_nonincreasing() is want
+    # a rise of TOL is within tolerance on either side of an edge
+    values[8193] = values[8192] + TOL
+    assert UtilityRule(values, values[-1]).is_nonincreasing() is loop_is_nonincreasing(tuple(values), values[-1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_tables_span_reachable_counts(seed):
