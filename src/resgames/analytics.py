@@ -13,13 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import model
 from .model import (TOL, UtilityRule, ValidationError, WelfareRule, _check_first_values, _integer, _real,
-                    _require, _require_size, curvature, make_welfare_rule)
+                    _require, _require_length, _require_size, curvature, make_welfare_rule)
 from .designs import pareto_setcov_values
 
 E = math.e
-_GRID = 1 << 16  # most (row, column) entries a closed form scores at once, as dynamics' _GATHER
-_COLUMNS = 10**7  # most columns the price-of-anarchy LP may build, n <= 389
 
 
 class BoundResult(NamedTuple):
@@ -32,11 +31,22 @@ class FrontierPoint(NamedTuple):
     one_round: float
 
 
-def _row_blocks(first: int, last: int, width: int):
-    """Ranges [lo, hi) that cover the rows first..last, each of at most
-    ``_GRID`` // width rows of ``width`` entries, and at least one row."""
-    step = max(1, _GRID // width)
-    return ((lo, min(lo + step, last + 1)) for lo in range(first, last + 1, step))
+def _grid_bound(rows: int, width: int, score) -> BoundResult:
+    """1/M for M the maximum of a grid of rows 1..rows, ``score(lo, hi)``
+    giving rows lo..hi-1, each of at most ``width`` entries.  The grid is
+    scored in blocks of at most ``model._ENTRIES`` entries (one row when a row
+    is longer), so memory stays O(width), and only maxima are taken, so the
+    result does not depend on the block size.  ``truncated`` reports an M
+    above, by more than 1e-12, every entry off the last row and column."""
+    step = max(1, model._ENTRIES // width)
+    best = best_interior = -np.inf
+    for lo in range(1, rows + 1, step):
+        vals = score(lo, min(lo + step, rows + 1))
+        best = max(best, float(vals.max()))
+        inner = vals[: rows - lo, : width - 1]
+        if inner.size:
+            best_interior = max(best_interior, float(inner.max()))
+    return BoundResult(1.0 / best, best > best_interior + 1e-12)
 
 
 def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundResult:
@@ -47,32 +57,25 @@ def one_round_bound(w: WelfareRule, f: UtilityRule, y_max: int = 50) -> BoundRes
     ``truncated`` reports a maximizer that strictly dominates only on the
     y_max/z_max boundary, i.e. a larger index bound could change the value.
 
-    The (y, z) grid is scored in blocks of y rows, each of at most 2^16
-    entries (one row when a row is longer), so memory stays O(y_max) while a
-    full grid would take O(y_max^2).  Each entry is computed as a one-row-at-a-
-    time loop would compute it, and only maxima are taken, so the result does
-    not depend on the block size.
+    The (y, z) grid is scored in blocks of y rows by :func:`_grid_bound`,
+    so memory stays O(y_max) while a full grid would take O(y_max^2).
 
     Precondition: f(1) = w(1), the scale at which a design fixes f.  Scaling
     f leaves best responses unchanged but moves this value, so an f at any
     other scale raises :class:`ValidationError`.
     """
-    _require_size(y_max, "y_max")
+    _require_length(y_max, "y_max")
     _check_first_values(w, f, "one_round_bound")
     wt = w.table(y_max)
     ft = f.table(y_max + 1)
     pref = np.cumsum(ft)
     runmin = np.minimum.accumulate(np.where(np.arange(y_max + 2) == 0, np.inf, ft))
     z = np.arange(y_max + 1)
-    best = best_interior = -np.inf
-    for lo, hi in _row_blocks(1, y_max, y_max + 1):
+
+    def score(lo, hi):
         y = np.arange(lo, hi)[:, None]
-        vals = (pref[y] - z * runmin[y + 1] + wt) / wt[y]
-        best = max(best, float(vals.max()))
-        inner = vals[: y_max - lo, :y_max]  # rows y < y_max, columns z < y_max
-        if inner.size:
-            best_interior = max(best_interior, float(inner.max()))
-    return BoundResult(1.0 / best, best > best_interior + 1e-12)
+        return (pref[y] - z * runmin[y + 1] + wt) / wt[y]
+    return _grid_bound(y_max, y_max + 1, score)
 
 
 def one_round_setcov(f: UtilityRule, j_trunc: int) -> float:
@@ -83,7 +86,7 @@ def one_round_setcov(f: UtilityRule, j_trunc: int) -> float:
     nonincreasing in ``j_trunc`` and an upper bound on the true guarantee.
     f(1) must be 1, the set-covering w(1), the scale this guarantee reads.
     """
-    _require_size(j_trunc, "j_trunc")
+    _require_length(j_trunc, "j_trunc")
     if abs(f.values[0] - 1.0) > TOL:
         raise ValidationError("one_round_setcov: f(1) must equal w(1) = 1")
     return _setcov_one_round(f.table(j_trunc)[1:])
@@ -120,8 +123,9 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         1/poa = 1 + max_{1<=j<=n-1} { j f(j) - f(j+1), (n-1) f(n) }.
     family="bent": bent welfare rule with a nonincreasing f, f(1) = 1,
         1/poa = max_{1<=l<=j} (w(l) + j f(j) - l f(j+1)) / w(j), j up to j_max,
-        scored in blocks of j rows as :func:`one_round_bound` scores its grid,
-        so memory stays O(j_max); ``truncated`` reports a maximum only at j_max.
+        scored in blocks of j rows by :func:`_grid_bound`, so memory stays
+        O(j_max); ``truncated`` reports a maximum only at j = j_max, the one
+        row that reaches the last column l = j_max.
 
     Both read f at f(1) = w(1) and raise :class:`ValidationError` otherwise.
     """
@@ -129,7 +133,7 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         _check_setcov(w)
         _check_first_values(w, f, "poa_closed_form")
         _require(n is not None, "setcov closed form needs the number of agents n")
-        _require_size(n, "n")
+        _require_length(n, "n")
         if n == 1:
             return BoundResult(1.0, False)
         ft = f.table(n + 1)
@@ -143,19 +147,14 @@ def poa_closed_form(w: WelfareRule, f: UtilityRule, family: str, *,
         if not f.is_nonincreasing():
             raise ValidationError("bent closed form needs a nonincreasing f with f(1) = 1")
         jm = j_max if j_max is not None else 200
-        _require_size(jm, "j_max")
+        _require_length(jm, "j_max")
         wt = w.table(jm)
         ft = f.table(jm + 1)
-        best = best_interior = -np.inf
-        for lo, hi in _row_blocks(1, jm, jm):
-            j = np.arange(lo, hi)[:, None]
-            l = np.arange(1, hi)
-            vals = np.where(l <= j, (wt[1:hi] + j * ft[j] - l * ft[j + 1]) / wt[j], -np.inf)
-            best = max(best, float(vals.max()))
-            inner = vals[: jm - lo]  # rows j < j_max
-            if inner.size:
-                best_interior = max(best_interior, float(inner.max()))
-        return BoundResult(1.0 / best, best > best_interior + 1e-12)
+
+        def score(lo, hi):
+            j, l = np.arange(lo, hi)[:, None], np.arange(1, hi)
+            return np.where(l <= j, (wt[1:hi] + j * ft[j] - l * ft[j + 1]) / wt[j], -np.inf)
+        return _grid_bound(jm, jm, score)
     raise ValidationError(f"no closed form for family {family!r}; setcov and bent have one")
 
 
@@ -195,11 +194,11 @@ class LPSolution:
 
 def _lp_columns(n: int) -> int:
     """The number of columns of the n-agent LP, C(n+3, 3) - 1; more than
-    ``_COLUMNS`` of them raises :class:`ValidationError`."""
+    ``model._CEILING`` of them (n >= 390) raises :class:`ValidationError`."""
     _require_size(n, "n")
     columns = (n + 1) * (n + 2) * (n + 3) // 6 - 1
-    _require(columns <= _COLUMNS,
-             f"the {n}-agent LP has {columns} columns, more than the {_COLUMNS} it may build")
+    _require(columns <= model._CEILING,
+             f"the {n}-agent LP has {columns} columns, more than the {model._CEILING} it may build")
     return columns
 
 
@@ -208,8 +207,9 @@ def build_poa_lp(w: WelfareRule, f: UtilityRule, n: int) -> LPInstance:
 
     The columns are enumerated directly, in O(columns) time and memory: each
     pair (a, x) with a + x <= n, in order, repeated over its b range, which
-    starts at 1 when a + x = 0.  An LP of more than ``_COLUMNS`` columns
-    (n >= 390) raises :class:`ValidationError` before anything is allocated.
+    starts at 1 when a + x = 0.  An LP of more than ``model._CEILING``
+    columns (n >= 390) raises :class:`ValidationError` before anything is
+    allocated.
     """
     columns = _lp_columns(n)
     wt = w.table(n)

@@ -310,14 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0 if rc is None else rc
 
 
 if __name__ == "__main__":

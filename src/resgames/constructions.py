@@ -156,8 +156,8 @@ def build_stack_or_spread(n: int, f: UtilityRule) -> Construction:
     """
     if not (_integer(n) and n >= 1):
         raise ValidationError("need at least one agent")
+    w = make_welfare_rule("set_covering", n)  # refuses an n past the table ceiling before the spread list
     spread = [max(f.eval(i), 0.0) for i in range(1, n + 1)]
-    w = make_welfare_rule("set_covering", n)
     res = [Resource("base", w, f, 1.0)]
     res += [Resource(f"sp{i}", w, f, v) for i, v in enumerate(spread, 1)]
     actions = tuple((frozenset(), frozenset({"base"}), frozenset({f"sp{i}"})) for i in range(1, n + 1))

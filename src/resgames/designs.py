@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import model
 from .model import (
     Game,
     UtilityRule,
@@ -22,7 +23,7 @@ from .model import (
     _check_utility_values,
     _integer,
     _real,
-    _require_size,
+    _require_length,
     curvature,
     make_utility_rule,
 )
@@ -36,7 +37,6 @@ CHI_MIN = 1.0 / E_MINUS_1
 
 _SNAP = 1e-12
 _TAIL_TERMS = 32  # most terms of a tail series computed at once
-_TAIL_ENTRIES = 1 << 16  # most (term, j) entries of a tail series computed at once, as analytics' _GRID
 
 
 def _e_pow(n: int) -> float:
@@ -56,7 +56,7 @@ def _decay_tail(j: np.ndarray, b: float, coef: Callable[[np.ndarray], np.ndarray
     raises once term 5001 has not stopped it.
 
     Terms are computed in blocks of at most ``_TAIL_TERMS`` terms and
-    ``_TAIL_ENTRIES`` entries (one term when j is longer), each a (term, j)
+    ``model._ENTRIES`` entries (one term when j is longer), each a (term, j)
     matrix: the running products by ``np.multiply.accumulate`` and the sum by
     ``np.add.accumulate`` down its rows, so every product and partial sum is
     the one a term-at-a-time loop forms, in the same order.  ``coef`` must
@@ -64,7 +64,7 @@ def _decay_tail(j: np.ndarray, b: float, coef: Callable[[np.ndarray], np.ndarray
     """
     base = np.asarray(j, dtype=np.float64) - 1.0
     del j  # a temporary j is freed here, not kept through the sum
-    rows = max(1, min(_TAIL_TERMS, _TAIL_ENTRIES // len(base)))
+    rows = max(1, min(_TAIL_TERMS, model._ENTRIES // len(base)))
     steps = np.arange(1, rows + 1, dtype=np.float64)[:, None]
     total = np.zeros_like(base)
     prod = np.ones_like(base)
@@ -110,7 +110,7 @@ def design_one_round(c: float, j_max: int = 8) -> UtilityRule:
     """
     if not (_real(c) and 0.0 <= c <= 1.0):
         raise ValidationError("curvature must lie in [0, 1]")
-    _require_size(j_max, "j_max")
+    _require_length(j_max, "j_max")
     f2 = (2.0 - 2.0 * c) / (2.0 - c)
     vals = (1.0,) + (f2,) * (j_max - 1)
     return make_utility_rule(vals, f2)
@@ -135,7 +135,7 @@ def design_asymptotic(b: int, c: float, j_max: int) -> UtilityRule:
         raise ValidationError("curvature must lie in [0, 1]")
     if b > 1 and c != 1.0:
         raise ValidationError("only bend 1 (any curvature) or curvature 1 (any bend) is supported")
-    _require_size(j_max, "j_max", 2)
+    _require_length(j_max, "j_max", 2)
     b = int(b)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if b == 1:
@@ -180,7 +180,7 @@ def pareto_setcov_values(chi: float | None = None, q: float | None = None,
     """
     if (chi is None) == (q is None):
         raise ValidationError("give exactly one of chi or q")
-    _require_size(j_max, "j_max")
+    _require_length(j_max, "j_max")
     if chi is None:
         if not (_real(q) and 0.5 - _SNAP <= q <= 1.0 - 1.0 / E + _SNAP):
             raise ValidationError("q must lie in [1/2, 1 - 1/e]")
@@ -251,7 +251,7 @@ class DesignSpec:
 
 
 @lru_cache(maxsize=32)
-def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> UtilityRule:
+def resolve_design(spec: DesignSpec, w: WelfareRule, j_max: int) -> UtilityRule:
     """Produce the utility rule a design assigns to the welfare rule ``w``,
     tabulated to ``j_max`` selectors where the design needs a length.
 
@@ -260,8 +260,6 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
     and scale their unit rule by w(1).  Equal calls share one immutable result,
     so the instances of an experiment build and check each designed rule once.
     """
-    if isinstance(spec, str):
-        spec = DesignSpec(spec)
     if spec.family == "common_interest":
         return design_common_interest(w)
     c = spec.c if spec.c is not None else curvature(w)
@@ -274,7 +272,7 @@ def resolve_design(spec: DesignSpec | str, w: WelfareRule, j_max: int) -> Utilit
     return f.scaled(w.values[0])
 
 
-def apply_design(g: Game, spec: DesignSpec | str) -> Game:
+def apply_design(g: Game, spec: DesignSpec) -> Game:
     """Replace every resource's utility rule with the design's output,
     tabulated to max(n_players, 8) selectors.  The new game shares ``g``'s
     actions and welfare tables."""

@@ -9,12 +9,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import model
 from .model import (
     TOL,
     Game,
     JointAction,
     ValidationError,
     _integer,
+    _require_size,
     selection_counts,
     welfare,
 )
@@ -25,7 +27,6 @@ INCUMBENT_THEN_LEX = "incumbent_then_lex"
 ADVERSARIAL = "adversarial"
 
 _WALK_STEP_CEILING = 10**6
-_GATHER = 1 << 16  # most (step, resource) terms one walk block holds
 
 
 class BudgetExceededError(RuntimeError):
@@ -175,14 +176,14 @@ def _walk(g: Game, schedule: tuple[int, ...], acts: Sequence[int]) -> Trajectory
     Each step's per-resource welfare and potential terms are kept in two
     running rows, which start at the null allocation's w(0) = F(0) = 0, and
     a move rewrites only the entries of the resources it leaves and enters.
-    After each step both rows are copied into a block of at most ``_GATHER``
-    (step, resource) terms; a full block, and the last one, is summed a row
-    at a time, as :func:`welfare` sums one state, to the same bits.
+    After each step both rows are copied into a block of at most
+    ``model._ENTRIES`` (step, resource) terms; full blocks and the last are
+    summed a row at a time, as :func:`welfare` sums a state, to the same bits.
     """
     n_res = g.n_resources
     counts, joint = [0] * n_res, list(g.null_action)
     wrows, crows = g._welfare_rows, g._cumulative_rows
-    rows = min(max(1, _GATHER // n_res), len(acts))
+    rows = min(max(1, model._ENTRIES // n_res), len(acts))
     wrun = array("d", [row[0] for row in wrows])
     prun = array("d", [row[0] for row in crows])
     wblock, pblock = np.empty((rows, n_res)), np.empty((rows, n_res))
@@ -265,6 +266,7 @@ class _AdversarialSearch:
     """
 
     def __init__(self, g: Game, schedule: tuple[int, ...], cap: int):
+        _require_size(cap, "cap")
         self.g = g
         self.schedule = schedule
         self.cap = cap
@@ -476,9 +478,10 @@ def adversarial_min_welfare(g: Game, k: int = 1, *, cap: int = 500_000,
     allocation, and a trajectory that attains it.
 
     The walk runs ``k`` round-robin rounds unless ``schedule`` gives its step
-    sequence; ``k`` must still be a positive integer.  More than ``cap``
-    searched states raise :class:`EnumerationCapError`.  The value is the
-    trajectory's final welfare, summed as :func:`welfare` sums a state.
+    sequence; ``k`` must still be a positive integer.  ``cap`` must be a
+    positive integer, and more than ``cap`` searched states raise
+    :class:`EnumerationCapError`.  The value is the trajectory's final
+    welfare, summed as :func:`welfare` sums a state.
 
     A state is not searched when a bound on Rosenthal's potential shows that
     no walk through it ends below the least walk found so far (see
@@ -541,6 +544,8 @@ def reachable_nash_min(g: Game, cap: int = 500_000) -> tuple[float, JointAction]
     :class:`_AdversarialSearch`'s state.  A walk can stay at a reachable Nash
     joint forever, so these are exactly the limit points under adversarial
     ties.  A joint is Nash when all n of its states keep the mover's action.
+    ``cap`` must be a positive integer, and more than ``cap`` searched states
+    raise :class:`EnumerationCapError`.
 
     A state is skipped when ``alpha * (Phi(s) - delta * paths) - eps``
     exceeds the least Nash welfare found so far, with the potential, ``alpha``,
@@ -697,10 +702,8 @@ def efficiency(g: Game, k: int | float, tie_break: str = INCUMBENT_THEN_LEX) -> 
         return 1.0
     if tie_break == ADVERSARIAL:
         w = (reachable_nash_min(g) if limit else adversarial_min_welfare(g, k))[0]
-    elif limit:
-        w = welfare(g, walk_to_nash(g).final)
     else:
-        w = k_round_walk(g, k).final_welfare
+        w = (walk_to_nash(g) if limit else k_round_walk(g, k)).final_welfare
     return w / opt_w
 
 

@@ -159,9 +159,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[Row]) -> list[SummaryRow]:
     """Min/quartiles/median/max of normalized welfare across instances."""
     cells = {(spec.name(), r): [] for spec in cfg.designs for r in range(1, cfg.rounds + 1)}
     for row in rows:
-        cell = cells.get((row.design, row.round))
-        if cell is not None:
-            cell.append(row.normalized_welfare)
+        cells[row.design, row.round].append(row.normalized_welfare)
     out = []
     for (name, r), vals in cells.items():
         lo, q1, med, q3, hi = np.percentile(np.array(vals), [0, 25, 50, 75, 100], method="linear")

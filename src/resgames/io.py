@@ -12,7 +12,6 @@ from .model import (
     UtilityRule,
     ValidationError,
     WelfareRule,
-    make_welfare_rule,
 )
 
 
@@ -40,13 +39,6 @@ def game_to_dict(g: Game) -> dict:
     }
 
 
-def _welfare_from_dict(d: dict) -> WelfareRule:
-    if "values" in d and d["values"]:
-        return WelfareRule(d["values"], d.get("tail_slope", 0.0), d.get("family", "explicit"))
-    params = dict(d.get("params", {}))
-    return make_welfare_rule(d["family"], params.pop("j_max", 64), **params)
-
-
 def game_from_dict(d: dict) -> Game:
     """The game a :func:`game_to_dict` description gives, or a :class:`ValidationError`."""
     built = {}
@@ -61,7 +53,8 @@ def game_from_dict(d: dict) -> Game:
         resources = tuple(
             Resource(
                 rd["id"],
-                rule(_welfare_from_dict, rd["welfare"]),
+                rule(WelfareRule, rd["welfare"]["values"], rd["welfare"].get("tail_slope", 0.0),
+                     rd["welfare"].get("family", "explicit")),
                 rule(UtilityRule, rd["utility"]["values"], rd["utility"].get("tail_value")),
                 rd.get("value", 1.0),
             )

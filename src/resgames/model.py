@@ -18,6 +18,8 @@ import numpy as np
 #: Absolute tolerance for rule invariants and for utility ties.
 TOL = 1e-9
 _COMPARE = 1 << 13  # most entries a monotonicity check compares at once: 64 KB of float64
+_ENTRIES = 1 << 16  # most entries a blocked pass holds at once: a walk's gather, a closed-form grid, a tail series
+_CEILING = 10**7  # most entries a rule table, an index bound or the price-of-anarchy LP may have
 
 JointAction = tuple[int, ...]
 
@@ -45,6 +47,13 @@ def _require_size(x, name: str, least: int = 1) -> None:
     """Refuses a size ``x`` that is not an integer (a bool included) or is below ``least``."""
     _require(_integer(x), f"{name} must be an integer, got {x!r}")
     _require(x >= least, f"{name} must be positive" if least == 1 else f"{name} must be at least {least}")
+
+
+def _require_length(x, name: str, least: int = 1) -> None:
+    """Refuses what :func:`_require_size` refuses, and a table length or index
+    bound above ``_CEILING``, before anything of that length is allocated."""
+    _require_size(x, name, least)
+    _require(x <= _CEILING, f"{name} must be at most {_CEILING}, the most entries a table may have")
 
 
 class _TabulatedRule:
@@ -194,7 +203,7 @@ def make_welfare_rule(family: str, j_max: int, *, b: int = 1, curvature: float |
 
     Build a :class:`WelfareRule` directly for any other rule.
     """
-    _require_size(j_max, "j_max")
+    _require_length(j_max, "j_max")
     if family == "bent":
         _require(_real(curvature) and 0.0 <= curvature <= 1.0, "bent rule needs curvature in [0, 1]")
         _require(_integer(b) and b >= 1, "bent rule needs integer b >= 1")
@@ -380,11 +389,14 @@ def selection_counts(g: Game, a: Sequence[int]) -> np.ndarray:
     return np.bincount(picked, minlength=g.n_resources)
 
 
+def _state_sum(g: Game, tables: np.ndarray, a: Sequence[int]) -> float:
+    """The sum over resources r of tables[r, |a|_r]."""
+    return float(tables[np.arange(g.n_resources), selection_counts(g, a)].sum())
+
+
 def welfare(g: Game, a: Sequence[int]) -> float:
     """System welfare sum_r v_r * w_r(|a|_r)."""
-    counts = selection_counts(g, a)
-    tabs = g.welfare_tables
-    return float(tabs[np.arange(g.n_resources), counts].sum())
+    return _state_sum(g, g.welfare_tables, a)
 
 
 def utility_mc(g: Game, a: Sequence[int], i: int) -> float:
@@ -402,6 +414,4 @@ def utility_full(g: Game, a: Sequence[int]) -> float:
     mover's change in marginal-contribution utility, so both induce the same
     best responses.
     """
-    counts = selection_counts(g, a)
-    tabs = g.cumulative_utility_tables
-    return float(tabs[np.arange(g.n_resources), counts].sum())
+    return _state_sum(g, g.cumulative_utility_tables, a)

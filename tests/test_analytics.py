@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from resgames import (
 )
 
 from resgames.analytics import _check_bent
+from resgames import model
 from resgames.model import TOL
 
 from conftest import highs_poa_lp, loop_bent_closed_form, loop_one_round_bound, loop_poa_lp
@@ -124,6 +126,21 @@ def test_block_grids_match_their_loop_oracles(n):
         got, want = fast(w, flat, n), slow(w, flat, n)
         assert (got.value.hex(), got.truncated) == (want.value.hex(), want.truncated)
         assert got.truncated
+
+
+@pytest.mark.parametrize("entries", [1, 8, 150])
+@pytest.mark.parametrize("n", [3, 50])
+def test_small_blocks_match_the_loop_oracles(n, entries):
+    # every grid spans several blocks, one row a block when a row is longer
+    for family, w, f in _oracle_cases(n):
+        with mock.patch.object(model, "_ENTRIES", entries):
+            fast = one_round_bound(w, f, n)
+            bent = poa_closed_form(w, f, "bent", j_max=n) if family == "bent" else None
+        slow = loop_one_round_bound(w, f, n)
+        assert (fast.value.hex(), fast.truncated) == (slow.value.hex(), slow.truncated), (family, f)
+        if bent is not None:
+            slow = loop_bent_closed_form(w, f, n)
+            assert (bent.value.hex(), bent.truncated) == (slow.value.hex(), slow.truncated), (family, f)
 
 
 def test_block_grids_hold_memory_to_o_of_the_index_bound():

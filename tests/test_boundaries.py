@@ -1,4 +1,7 @@
 """Each input check of the library, asserted at the one place that makes it."""
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from resgames import (
     solve_poa_lp,
     theory_bounds,
 )
+from resgames import model
 from resgames.designs import pareto_setcov_values
 
 SETCOV = make_welfare_rule("set_covering", 8)
@@ -188,3 +192,47 @@ def test_size_arguments_take_numpy_integers():
     assert (make_welfare_rule("bent", 4, b=np.int64(2), curvature=0.5)
             == make_welfare_rule("bent", 4, b=2, curvature=0.5))
     assert k_round_walk(CHAIN, np.int64(2)) == k_round_walk(CHAIN, 2)
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: make_welfare_rule("bent", BIG, b=1, curvature=0.5), "j_max"),
+    (lambda: make_welfare_rule("set_covering", BIG), "j_max"),
+    (lambda: make_welfare_rule("wta", BIG, p=0.5), "j_max"),
+    (lambda: make_welfare_rule("harmonic", BIG), "j_max"),
+    (lambda: design_one_round(0.5, BIG), "j_max"),
+    (lambda: design_asymptotic(1, 0.5, BIG), "j_max"),
+    (lambda: design_pareto_setcov(q=0.6, j_max=BIG), "j_max"),
+    (lambda: pareto_setcov_values(q=0.6, j_max=BIG), "j_max"),
+    (lambda: frontier_setcov(0.6, BIG), "j_max"),
+    (lambda: one_round_bound(BENT, design_one_round(0.5), BIG), "y_max"),
+    (lambda: one_round_setcov(CI_SETCOV, BIG), "j_trunc"),
+    (lambda: poa_closed_form(SETCOV, CI_SETCOV, "setcov", n=BIG), "n"),
+    (lambda: poa_closed_form(BENT, design_one_round(0.5), "bent", j_max=BIG), "j_max"),
+    (lambda: build_stack_or_spread(10**11, CI_SETCOV), "j_max"),
+    (lambda: make_welfare_rule("set_covering", 10**7 + 1), "j_max"),
+], ids=["welfare-bent", "welfare-set_covering", "welfare-wta", "welfare-harmonic", "design_one_round",
+        "design_asymptotic", "design_pareto_setcov", "pareto_values", "frontier-j_trunc", "one_round_bound-y_max",
+        "one_round_setcov-j_trunc", "closed_form-setcov-n", "closed_form-bent-j_max", "stack_or_spread-n",
+        "welfare-one_past"])
+def test_table_lengths_past_the_ceiling_are_refused_unallocated(call, name):
+    # the bent, WTA and harmonic tables once grew as tuples until memory ran out
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{name} must be at most 10000000, the most entries a table may have"
+    assert peak < 1_000_000
+
+
+def test_the_table_ceiling_admits_its_own_length():
+    with mock.patch.object(model, "_CEILING", 5):
+        assert make_welfare_rule("set_covering", 5).j_max == 5
+        assert design_one_round(0.5, 5).j_max == 5
+        with pytest.raises(ValidationError, match="^j_max must be at most 5, the most entries a table may have$"):
+            make_welfare_rule("set_covering", 6)

@@ -130,6 +130,40 @@ def test_lp_past_the_column_ceiling_exits_2(tmp_path, capsys):
     assert rc == 2 and peak < 1_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    "analyze --route frontier --jtrunc 1000000000000",
+    "analyze --route one-round --welfare bent --C .5 --jmax 1000000000000",
+    "analyze --route one-round --welfare setcov --jtrunc 1000000000000",
+    "analyze --route closed-form --welfare setcov --n 1000000000000",
+    "design --jmax 1000000000000",
+    "construct --kind stack_or_spread --n 100000000000 --out {out}",
+], ids=["frontier", "one-round-bent", "one-round-setcov", "closed-form-setcov", "design", "stack_or_spread"])
+def test_tables_past_the_ceiling_exit_2(tmp_path, capsys, argv):
+    # each once died in a MemoryError traceback with exit 1
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        rc = main(shlex.split(argv.format(out=out)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and peak < 1_000_000
+    assert capsys.readouterr().err == "error: j_max must be at most 10000000, the most entries a table may have\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_simulate_refuses_a_cap_below_one(tmp_path, capsys, cap):
+    # --cap -3 once ran the search for one state and exited 3
+    game_path = tmp_path / "trap.json"
+    main(["construct", "--kind", "greedy_trap", "--eps", "0.1", "--out", str(game_path)])
+    capsys.readouterr()
+    for k in ("1", "inf"):
+        argv = ["simulate", "--game", str(game_path), "--k", k, "--tiebreak", "adversarial", "--cap", cap]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cap must be positive\n"
+
+
 def test_analyze_frontier(capsys):
     rc = main(["analyze", "--route", "frontier", "--Q-grid", "0.5", "--jtrunc", "100"])
     assert rc == 0

@@ -200,7 +200,7 @@ def test_resolve_design_scales_to_rule():
     w = make_welfare_rule("wta", 10, p=0.5)
     f = resolve_design(DesignSpec("one_round"), w, 10)
     assert f.values[0] == pytest.approx(w.values[0], abs=1e-12)
-    f_ci = resolve_design("common_interest", w, 10)
+    f_ci = resolve_design(DesignSpec("common_interest"), w, 10)
     assert f_ci.values[1] == pytest.approx(w.values[1] - w.values[0], abs=1e-12)
 
 

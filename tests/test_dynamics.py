@@ -13,6 +13,7 @@ from resgames import (
     ADVERSARIAL,
     INCUMBENT_THEN_LEX,
     BudgetExceededError,
+    DesignSpec,
     EnumerationCapError,
     ExperimentConfig,
     Game,
@@ -40,7 +41,7 @@ from resgames import (
     walk_to_nash,
     welfare,
 )
-from resgames import dynamics
+from resgames import dynamics, model
 from resgames.constructions import (
     build_common_interest_chain,
     build_greedy_trap,
@@ -219,7 +220,7 @@ def test_walk_fixed_point_iff_nash(rng):
 
 def test_ci_walk_welfare_nondecreasing(rng):
     for _ in range(30):
-        g = apply_design(random_game(rng), "common_interest")
+        g = apply_design(random_game(rng), DesignSpec("common_interest"))
         t = k_round_walk(g, 3)
         welfares = [0.0] + [s.welfare for s in t.steps]
         assert all(b >= a - 1e-9 for a, b in zip(welfares, welfares[1:]))
@@ -240,6 +241,17 @@ def test_adversarial_min_nonincreasing_in_rounds():
     vals = [adversarial_min_welfare(con.game, k)[0] for k in (1, 2, 3, 4)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 0, -3, "7"])
+def test_searches_refuse_a_cap_that_is_not_a_positive_integer(cap):
+    # 0 and -3 once raised EnumerationCapError after one state, "7" a bare TypeError
+    from resgames import ValidationError
+    g = build_greedy_trap(0.1).game
+    for search in (lambda: adversarial_min_welfare(g, 1, cap=cap), lambda: reachable_nash_min(g, cap=cap)):
+        with pytest.raises(ValidationError) as exc:
+            search()
+        assert str(exc.value) in (f"cap must be an integer, got {cap!r}", "cap must be positive")
 
 
 def test_adversarial_cap_carries_bounds():
@@ -790,7 +802,7 @@ def wide_games(draw) -> Game:
 def test_walk_gather_blocks_match_one_state_sums(g, k, data):
     # a gather of under nine rows splits most walks into several blocks
     gather = data.draw(st.integers(1, 9 * g.n_resources))
-    with mock.patch.object(dynamics, "_GATHER", gather):
+    with mock.patch.object(model, "_ENTRIES", gather):
         traj = k_round_walk(g, k)
     _assert_steps_score_their_states(g, traj, k * g.n_players)
 
@@ -800,7 +812,7 @@ def test_walk_gather_blocks_match_one_state_sums(g, k, data):
 def test_walk_to_nash_blocks_match_one_state_sums(g, data):
     # each round after the first is recorded from the state the last one left
     gather = data.draw(st.integers(1, 9 * g.n_resources))
-    with mock.patch.object(dynamics, "_GATHER", gather):
+    with mock.patch.object(model, "_ENTRIES", gather):
         traj = walk_to_nash(g)
     _assert_steps_score_their_states(g, traj, len(traj.steps))
 
@@ -808,7 +820,7 @@ def test_walk_to_nash_blocks_match_one_state_sums(g, data):
 def test_chain_worst_walk_gathers_match_one_state_sums():
     g = build_common_interest_chain(2000, 0.5).game
     _, traj = adversarial_min_welfare(g, 1)
-    assert 2000 * g.n_resources > dynamics._GATHER
+    assert 2000 * g.n_resources > model._ENTRIES
     _assert_steps_score_their_states(g, traj, 2000)
 
 

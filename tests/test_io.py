@@ -3,6 +3,7 @@ import json
 import pytest
 
 from resgames import (
+    DesignSpec,
     ExperimentConfig,
     apply_design,
     build_poa_witness,
@@ -66,42 +67,28 @@ def test_empty_action_is_implicit():
     assert all(acts[0] == frozenset() for acts in g.actions)
 
 
-def test_welfare_family_reconstruction():
+@pytest.mark.parametrize("welfare, message", [
+    ({"family": "bent", "params": {"b": 1, "curvature": 0.5, "j_max": 4}}, "malformed game description: 'values'"),
+    ({"family": "set_covering", "params": {"j_max": 2.5}}, "malformed game description: 'values'"),
+    ({"family": "set_covering", "params": {"j_max": True}}, "malformed game description: 'values'"),
+    ({"family": "set_covering", "params": {"j_max": "3"}}, "malformed game description: 'values'"),
+    ({"family": "set_covering", "values": []}, "welfare rule needs at least w(1)"),
+], ids=["family-params", "float", "bool", "string", "empty-values"])
+def test_a_welfare_without_values_is_refused(tmp_path, capsys, welfare, message):
+    # game_to_dict writes every rule's values and the loader reads only
+    # those, so a welfare named by its family and params alone is malformed
     d = {
-        "resources": [
-            {
-                "id": "x",
-                "welfare": {"family": "bent", "params": {"b": 1, "curvature": 0.5, "j_max": 4}},
-                "utility": {"values": [1.0, 0.5], "tail_value": 0.5},
-                "value": 1.0,
-            }
-        ],
-        "players": [{"actions": [["x"]]}],
-    }
-    g = game_from_dict(d)
-    assert g.resources[0].welfare.values == (1.0, 1.5, 2.0, 2.5)
-
-
-
-@pytest.mark.parametrize("j_max", [2.5, True, "3"], ids=["float", "bool", "string"])
-def test_a_files_welfare_size_is_not_rounded(tmp_path, capsys, j_max):
-    # int() once read these as 2, 1 and 3 and built the rule
-    d = {
-        "resources": [
-            {
-                "id": "x",
-                "welfare": {"family": "set_covering", "params": {"j_max": j_max}},
-                "utility": {"values": [1.0]},
-            }
-        ],
+        "resources": [{"id": "x", "welfare": welfare, "utility": {"values": [1.0]}}],
         "players": [{"actions": [["x"]]}],
     }
     path = tmp_path / "g.json"
     path.write_text(json.dumps(d))
-    with pytest.raises(ValidationError, match=f"j_max must be an integer, got {j_max!r}"):
+    with pytest.raises(ValidationError) as exc:
         load_game(path)
+    assert str(exc.value) == message
     assert main(["simulate", "--game", str(path), "--k", "1"]) == 2
-    assert "j_max must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
+
 
 def test_malformed_game_rejected():
     with pytest.raises(ValidationError):
@@ -121,7 +108,7 @@ def test_trajectory_jsonl(tmp_path):
 
 def test_multi_round_walk_numbers_its_steps_by_position(tmp_path):
     # walk_to_nash joins one-round walks; tau counts on across round boundaries
-    g = apply_design(gen_wta(ExperimentConfig(), 0), "one_round")
+    g = apply_design(gen_wta(ExperimentConfig(), 0), DesignSpec("one_round"))
     traj = walk_to_nash(g)
     path = tmp_path / "nash.jsonl"
     trajectory_to_jsonl(g, traj, path)
